@@ -2,11 +2,11 @@
 
 Submodules
 ----------
-* ``ff``      — finite fields GF(p^f) with canonical moduli and count tables
+* ``ff``      — finite fields GF(p^f) with canonical moduli and log tables
 * ``fan``     — simplicial fans, Cox multigradings, exceptional sets
 * ``poly``    — exact multivariate polynomials, gradings, parsing/printing
 * ``quintic`` — quintic 3-folds with a triple line and their strict transforms
-* ``count``   — exhaustive counting kernels and congruence checks
+* ``count``   — exhaustive counting kernel and congruence checks
 * ``chow``    — rational Chow-ring quotients and the existence certificate
 * ``cli``     — the ``toricount`` command-line tool
 * ``rng``     — deterministic seedable generator used for all randomness

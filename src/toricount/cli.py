@@ -206,9 +206,7 @@ def cmd_count(cfg: RunConfig) -> int:
     G = space.grading
     if P.nvars != G.rho:
         raise ToricountError(f"polynomial has {P.nvars} variables, fan has {G.rho} rays")
-    n_aff = count.affine_count(P, spec, work_cap=cfg.work_cap)
-    n_exc = count.exceptional_on_hypersurface(P, space, spec, work_cap=cfg.work_cap)
-    n_tor = count.toric_count_quotient(P, space, spec, work_cap=cfg.work_cap)
+    n_aff, n_exc, n_tor = count._toric_counts(P, space, spec, cfg.work_cap)
     mu = ax_exponent(G, degree_bounds(P, G))
     payload = {
         "field": spec.name,

@@ -1,11 +1,14 @@
 """Exhaustive exact point counting and congruence verdicts.
 
-Counts are exact Python integers. The affine kernel enumerates F_q^rho in
-odometer order (x0 most significant, field elements in enumeration order) and
-is vectorized two ways: prime fields reduce products mod p on int64 blocks;
-small extension fields (q <= 256) use precomputed add/mul index tables. A pure
-Python path serves as oracle and fallback. Results are independent of the
-block partitioning, which `block_vars` exposes for testing.
+Counts are exact Python integers. One numpy kernel evaluates P on a box of
+F_q^rho in odometer order (x0 most significant, field elements in enumeration
+order) and yields its zero mask block by block, the same way for prime fields,
+extension fields and q > 256: terms are sums of discrete logs, and their values
+are added as F_p digits. Three counts read that mask: the affine count over
+the whole grid, the exceptional count over each stratum's coordinate subspace,
+and the orbit count, which canonicalizes the solutions under the torus. Results
+are independent of the block partitioning, which `block_vars` exposes for
+testing.
 
 Congruence checks returned as :class:`CongruenceReport`:
 
@@ -23,10 +26,11 @@ quotient and orbit counts).
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
@@ -41,13 +45,7 @@ from .errors import (
     TorsionClassGroup,
 )
 from .fan import Fan, GradingData, Space, builtin, grading_from_fan, space_from_fan
-from .ff import (
-    FieldSpec,
-    arithmetic_tables,
-    enumerate_field,
-    power_index_table,
-    power_mod_table,
-)
+from .ff import FieldSpec, log_tables
 from .poly import (
     MultiPoly,
     ax_exponent,
@@ -61,7 +59,7 @@ from .poly import (
 DEFAULT_WORK_CAP = 10 ** 9
 _WORK_CAP_ENV = "TORICOUNT_WORK_CAP"
 
-#: target suffix-block size for the vectorized kernels
+#: target block size (points) for the zero-mask kernel
 _BLOCK_TARGET = 1 << 20
 
 #: orbit enumeration materializes solution points; keep the full box modest
@@ -169,7 +167,7 @@ def as_grading(obj) -> GradingData:
 
 
 # --------------------------------------------------------------------------
-# the affine counting kernel
+# the zero-mask kernel
 # --------------------------------------------------------------------------
 
 def _check_poly_field(P: MultiPoly, spec: FieldSpec) -> None:
@@ -179,172 +177,139 @@ def _check_poly_field(P: MultiPoly, spec: FieldSpec) -> None:
         )
 
 
-def _choose_block_vars(q: int, rho: int, block_vars: int | None) -> int:
+def _choose_block_vars(sizes: list[int], block_vars: int | None) -> int:
+    rho = len(sizes)
     if block_vars is not None:
         if not 0 <= block_vars <= rho:
             raise InvalidParams(f"block_vars must be in [0, {rho}]")
         return block_vars
     k = 0
-    while k < rho and q ** (rho - k) > _BLOCK_TARGET:
+    while k < rho and math.prod(sizes[k:]) > _BLOCK_TARGET:
         k += 1
     return k
 
 
-def _suffix_value_arrays(q: int, m: int) -> list[np.ndarray]:
-    """Value of each of the m suffix variables along the block (first var most significant)."""
-    n = q ** m
-    base = np.arange(n, dtype=np.int64)
-    return [(base // q ** (m - 1 - j)) % q for j in range(m)]
+def _axis_view(values: np.ndarray, i: int, rho: int) -> np.ndarray:
+    """`values` laid along axis i of a rho-dimensional box, for broadcasting."""
+    return values.reshape((1,) * i + (-1,) + (1,) * (rho - 1 - i))
+
+
+def _reduce_digits(acc: np.ndarray, p: int, f: int, bits: int) -> np.ndarray:
+    """Reduce each `bits`-wide F_p digit packed in `acc` mod p."""
+    if f == 1:
+        return acc % p
+    low = (1 << bits) - 1
+    out = np.zeros_like(acc)
+    for j in range(f):
+        out |= ((acc >> (bits * j)) & low) % p << (bits * j)
+    return out
+
+
+def _zero_masks(
+    P: MultiPoly, spec: FieldSpec, axes: list[np.ndarray], block_vars: int | None = None
+) -> Iterator[tuple[list[np.ndarray], np.ndarray]]:
+    """Yield (block_axes, mask) over the box axes[0] x ... x axes[rho-1] of F_q^rho.
+
+    axes[i] holds the element indices coordinate i runs over. The box is cut
+    into blocks over its leading axes (block_vars of them, or the fewest that
+    leave at most _BLOCK_TARGET points a block); block_axes are the axes of one
+    block, each leading axis holding one element, and mask, of the block's
+    shape in odometer order, is True where P vanishes.
+
+    Every field takes the same path. A term c * prod x_i^e_i is evaluated as
+    log c + sum e_i log x_i, broadcast from axis-shaped tables in which a
+    sentinel stands for the element 0. A table maps that sum to the base-p
+    digits of the term's value, packed into one int64; the terms' packed
+    digits are added as integers and reduced mod p once a block, or sooner
+    when a digit could overflow its bits.
+    """
+    q, p, f = spec.q, spec.p, spec.f
+    rho = len(axes)
+    log, exp = log_tables(spec)
+    terms = [
+        (int(log[c.to_index()]), [(i, e) for i, e in enumerate(exps) if e]) for exps, c in P.terms
+    ]
+    width = max((len(factors) for _, factors in terms), default=0)
+    # a log sum without a zero factor stays below the sentinel; one with a zero reaches it
+    sentinel = (width + 1) * (q - 1)
+    bits = 63 // f
+    packed = sum((exp // p ** j % p) << (bits * j) for j in range(f))
+    value = np.zeros(width * sentinel + q - 1, dtype=np.int64)
+    value[:sentinel] = np.resize(packed, sentinel)
+    # terms that reduced digits (at most p-1) can take before one could overflow
+    headroom = ((1 << bits) - 1) // (p - 1) - 1
+    powers = {factor for _, factors in terms for factor in factors}
+    k = _choose_block_vars([len(a) for a in axes], block_vars)
+    for lead in itertools.product(*axes[:k]):
+        block = [np.array([v]) for v in lead] + list(axes[k:])
+        logs = {}
+        for i, e in powers:
+            a = block[i]
+            logs[i, e] = _axis_view(np.where(a == 0, sentinel, e * log[a] % (q - 1)), i, rho)
+        acc = np.zeros(tuple(len(a) for a in block), dtype=np.int64)
+        for n, (clog, factors) in enumerate(terms, 1):
+            s = clog
+            for factor in factors:
+                s = s + logs[factor]
+            acc += value[s]
+            if n % headroom == 0:
+                acc = _reduce_digits(acc, p, f, bits)
+        yield block, _reduce_digits(acc, p, f, bits) == 0
+
+
+def _on_strata(axes: list[np.ndarray], strata) -> np.ndarray:
+    """Broadcast boolean over the box: every coordinate of some stratum is 0."""
+    rho = len(axes)
+    out = np.zeros((1,) * rho, dtype=bool)
+    for stratum in strata:
+        on = np.ones((1,) * rho, dtype=bool)
+        for i in stratum:
+            on = on & _axis_view(axes[i] == 0, i, rho)
+        out = out | on
+    return out
 
 
 def affine_count(
     P: MultiPoly,
     spec: FieldSpec,
     *,
-    method: str = "auto",
     work_cap: int | None = None,
     block_vars: int | None = None,
 ) -> int:
     """Exact #{x in F_q^rho : P(x) = 0}; deterministic, partition independent."""
     _check_poly_field(P, spec)
-    rho = P.nvars
-    q = spec.q
+    q, rho = spec.q, P.nvars
     cap = effective_work_cap(work_cap)
     points = q ** rho
     if points > cap:
         raise CapExceeded(f"{q}^{rho} = {points} evaluations exceed the work cap {cap}")
-    if rho == 0:
-        return 1 if P.is_zero else 0
-    if P.is_zero:
-        return points
-    if method == "auto":
-        if spec.f == 1:
-            method = "modp"
-        elif q <= 256:
-            method = "table"
-        else:
-            method = "python"
-    if method == "modp":
-        if spec.f != 1:
-            raise InvalidParams("method 'modp' requires a prime field")
-        return _count_modp(P, spec, block_vars)
-    if method == "table":
-        return _count_table(P, spec, block_vars)
-    if method == "python":
-        return _count_python(P, spec)
-    raise InvalidParams(f"unknown counting method {method!r}")
-
-
-def _count_modp(P: MultiPoly, spec: FieldSpec, block_vars: int | None) -> int:
-    p = spec.p
-    rho = P.nvars
-    terms = [
-        (c.coeffs[0], [(i, e) for i, e in enumerate(exps) if e]) for exps, c in P.terms
-    ]
-    max_exp = max((e for _, ve in terms for _, e in ve), default=0)
-    pow_tab = power_mod_table(p, max_exp)
-    k = _choose_block_vars(p, rho, block_vars)
-    m = rho - k
-    suffix = _suffix_value_arrays(p, m)
-    count = 0
-    for prefix in itertools.product(range(p), repeat=k):
-        acc = np.zeros(p ** m, dtype=np.int64)
-        for coeff, ve in terms:
-            scalar = coeff
-            arr: np.ndarray | None = None
-            for i, e in ve:
-                if i < k:
-                    scalar = scalar * pow(prefix[i], e, p) % p
-                else:
-                    part = pow_tab[e][suffix[i - k]]
-                    arr = part if arr is None else (arr * part) % p
-            if scalar == 0:
-                continue
-            if arr is None:
-                acc = (acc + scalar) % p
-            else:
-                acc = (acc + scalar * arr) % p
-        count += int(np.count_nonzero(acc == 0))
-    return count
-
-
-def _count_table(P: MultiPoly, spec: FieldSpec, block_vars: int | None) -> int:
-    q = spec.q
-    rho = P.nvars
-    add_t, mul_t = arithmetic_tables(spec)
-    terms = [
-        (c.to_index(), [(i, e) for i, e in enumerate(exps) if e]) for exps, c in P.terms
-    ]
-    max_exp = max((e for _, ve in terms for _, e in ve), default=0)
-    pow_tab = power_index_table(spec, max_exp)
-    k = _choose_block_vars(q, rho, block_vars)
-    m = rho - k
-    suffix = _suffix_value_arrays(q, m)
-    count = 0
-    for prefix in itertools.product(range(q), repeat=k):
-        acc = np.zeros(q ** m, dtype=np.uint16)
-        for coeff_idx, ve in terms:
-            cur: np.ndarray | int = coeff_idx
-            for i, e in ve:
-                factor = pow_tab[e][prefix[i]] if i < k else pow_tab[e][suffix[i - k]]
-                cur = mul_t[cur, factor]
-            acc = add_t[acc, cur]
-        count += int(np.count_nonzero(acc == 0))
-    return count
-
-
-def _count_python(P: MultiPoly, spec: FieldSpec) -> int:
-    elements = enumerate_field(spec)
-    terms = P.terms
-    count = 0
-    for point in itertools.product(elements, repeat=P.nvars):
-        total = spec.zero()
-        for exps, coeff in terms:
-            acc = coeff
-            for i, e in enumerate(exps):
-                if e:
-                    acc = acc * point[i] ** e
-            total = total + acc
-        if total.is_zero:
-            count += 1
-    return count
-
-
-# --------------------------------------------------------------------------
-# exceptional-set restricted counts
-# --------------------------------------------------------------------------
-
-def _restrict_to_zero_set(P: MultiPoly, zero_vars: frozenset[int]) -> MultiPoly:
-    """P with x_i = 0 for i in zero_vars, as a polynomial in the remaining variables."""
-    keep = [i for i in range(P.nvars) if i not in zero_vars]
-    acc: dict[tuple[int, ...], object] = {}
-    for exps, coeff in P.terms:
-        if any(exps[i] for i in zero_vars):
-            continue
-        e = tuple(exps[i] for i in keep)
-        prev = acc.get(e)
-        acc[e] = coeff if prev is None else prev + coeff
-    return MultiPoly.from_dict(len(keep), P.domain, acc)
+    axes = [np.arange(q)] * rho
+    return sum(int(np.count_nonzero(mask)) for _, mask in _zero_masks(P, spec, axes, block_vars))
 
 
 def exceptional_on_hypersurface(
     P: MultiPoly, space_like, spec: FieldSpec, *, work_cap: int | None = None
 ) -> int:
-    """#{x in Z(F_q) : P(x) = 0} by inclusion-exclusion over the strata."""
+    """#{x in Z(F_q) : P(x) = 0}, one coordinate subspace per stratum.
+
+    Stratum n contributes the zeros of P on its subspace {x_i = 0, i in
+    stratum} that lie on none of the strata before it.
+    """
     space = as_space(space_like)
     _check_poly_field(P, spec)
-    if P.nvars != space.grading.rho:
-        raise InvalidParams(f"polynomial has {P.nvars} vars, space has {space.grading.rho}")
+    q, rho = spec.q, space.grading.rho
+    if P.nvars != rho:
+        raise InvalidParams(f"polynomial has {P.nvars} vars, space has {rho}")
+    cap = effective_work_cap(work_cap)
     strata = space.exceptional.strata
-    if len(strata) > 20:
-        raise InvalidParams("too many exceptional strata for inclusion-exclusion")
     total = 0
-    for k in range(1, len(strata) + 1):
-        for combo in itertools.combinations(strata, k):
-            union = frozenset().union(*combo)
-            restricted = _restrict_to_zero_set(P, union)
-            n = affine_count(restricted, spec, work_cap=work_cap)
-            total += (-1) ** (k + 1) * n
+    for n, stratum in enumerate(strata):
+        points = q ** (rho - len(stratum))
+        if points > cap:
+            raise CapExceeded(f"{points} evaluations on a stratum exceed the work cap {cap}")
+        axes = [np.zeros(1, dtype=np.int64) if i in stratum else np.arange(q) for i in range(rho)]
+        for block, mask in _zero_masks(P, spec, axes):
+            total += int(np.count_nonzero(mask & ~_on_strata(block, strata[:n])))
     return total
 
 
@@ -364,11 +329,13 @@ def _require_homogeneous_or_zero(P: MultiPoly, G: GradingData) -> None:
         multidegree(P, G)  # raises NotHomogeneous on mixed degrees
 
 
-def toric_count_quotient(
-    P: MultiPoly, space_like, spec: FieldSpec, *, work_cap: int | None = None
-) -> int:
-    """(N_affine - N_exceptional) / (q-1)^r with exact divisibility enforced."""
-    space = as_space(space_like)
+def _toric_counts(
+    P: MultiPoly, space: Space, spec: FieldSpec, work_cap: int | None
+) -> tuple[int, int, int]:
+    """(N_affine, N_exceptional, N_toric) with N_toric = (N_affine - N_exceptional) / (q-1)^r.
+
+    Raises NonIntegralQuotient unless the division is exact.
+    """
     G = space.grading
     _require_free_effective(G)
     _require_homogeneous_or_zero(P, G)
@@ -380,7 +347,14 @@ def toric_count_quotient(
         raise NonIntegralQuotient(
             f"(N_affine - N_exceptional) = {diff} is not divisible by (q-1)^{G.r} = {denom}"
         )
-    return diff // denom
+    return n_aff, n_exc, diff // denom
+
+
+def toric_count_quotient(
+    P: MultiPoly, space_like, spec: FieldSpec, *, work_cap: int | None = None
+) -> int:
+    """(N_affine - N_exceptional) / (q-1)^r with exact divisibility enforced."""
+    return _toric_counts(P, as_space(space_like), spec, work_cap)[2]
 
 
 def toric_count_orbits(
@@ -388,9 +362,9 @@ def toric_count_orbits(
 ) -> int:
     """Number of torus orbits on {P = 0} minus the exceptional set.
 
-    Each solution is mapped to its canonical orbit representative (minimum
-    under the enumeration order, over all (q-1)^r group elements); the count
-    is the number of distinct representatives.
+    Each solution is mapped to its canonical orbit representative (least
+    odometer code over all (q-1)^r group elements, worked out in log space);
+    the count is the number of distinct representatives.
     """
     space = as_space(space_like)
     G = space.grading
@@ -402,89 +376,33 @@ def toric_count_orbits(
     points = q ** rho
     if points > min(cap, _ORBIT_POINT_CAP):
         raise CapExceeded(f"{points} points exceed the orbit-enumeration cap")
-    solutions = _solution_indices(P, spec, rho)
-    # drop exceptional points
-    if space.exceptional.strata:
-        coords = _index_coordinates(solutions, q, rho)
-        exc_mask = np.zeros(len(solutions), dtype=bool)
-        for stratum in space.exceptional.strata:
-            m = np.ones(len(solutions), dtype=bool)
-            for i in stratum:
-                m &= coords[i] == 0
-            exc_mask |= m
-        solutions = solutions[~exc_mask]
-    group_size = (q - 1) ** G.r
-    if group_size * len(solutions) > cap:
+    # a torus element scales x_i by g^shift_i, which on logs is x -> scaled[log x + shift];
+    # 0 takes the log `zero`, past every shifted unit, and `scaled` maps it back to 0
+    log, exp = log_tables(spec)
+    zero = 2 * (q - 1)
+    logs_of = np.where(log < 0, zero, log).astype(np.int32)
+    scaled = np.zeros(3 * (q - 1), dtype=np.int32)
+    scaled[:zero] = np.resize(exp, zero)
+    columns: list[list[np.ndarray]] = [[] for _ in range(rho)]
+    n = 0
+    for block, mask in _zero_masks(P, spec, [np.arange(q)] * rho):
+        keep = mask & ~_on_strata(block, space.exceptional.strata)
+        n += int(np.count_nonzero(keep))
+        for i, a in enumerate(block):
+            columns[i].append(np.broadcast_to(_axis_view(logs_of[a], i, rho), keep.shape)[keep])
+    if (q - 1) ** G.r * n > cap:
         raise CapExceeded("orbit canonicalization exceeds the work cap")
-    coords = _index_coordinates(solutions, q, rho)
-    pts = np.stack(coords, axis=1) if rho else np.zeros((len(solutions), 0), dtype=np.int64)
-    _, mul_t = arithmetic_tables(spec)
-    reps: set[tuple[int, ...]] = set()
-    multipliers = _group_multipliers(G, spec)
-    for row in pts:
-        best: tuple[int, ...] | None = None
-        for mult in multipliers:
-            scaled = tuple(int(mul_t[mult[i], row[i]]) for i in range(rho))
-            if best is None or scaled < best:
-                best = scaled
-        reps.add(best if best is not None else tuple(int(x) for x in row))
-    return len(reps)
-
-
-@lru_cache(maxsize=None)
-def _group_multipliers(G: GradingData, spec: FieldSpec) -> tuple[tuple[int, ...], ...]:
-    """Per-coordinate multiplier indices for every torus element mu in (F_q*)^r."""
-    units = [e for e in enumerate_field(spec) if not e.is_zero]
-    out = []
-    for mu in itertools.product(units, repeat=G.r):
-        mult = []
-        for i in range(G.rho):
-            m = spec.one()
-            for j, mj in enumerate(mu):
-                w = G.weights[i][j]
-                if w:
-                    m = m * mj ** w
-            mult.append(m.to_index())
-        out.append(tuple(mult))
-    return tuple(out)
-
-
-def _solution_indices(P: MultiPoly, spec: FieldSpec, rho: int) -> np.ndarray:
-    """Indices (odometer order) of all points with P = 0, via the vectorized kernels."""
-    q = spec.q
-    n = q ** rho
-    if P.is_zero:
-        return np.arange(n, dtype=np.int64)
-    suffix = _suffix_value_arrays(q, rho)
-    if spec.f == 1:
-        p = spec.p
-        terms = [(c.coeffs[0], [(i, e) for i, e in enumerate(exps) if e]) for exps, c in P.terms]
-        max_exp = max((e for _, ve in terms for _, e in ve), default=0)
-        pow_tab = power_mod_table(p, max_exp)
-        acc = np.zeros(n, dtype=np.int64)
-        for coeff, ve in terms:
-            arr: np.ndarray | None = None
-            for i, e in ve:
-                part = pow_tab[e][suffix[i]]
-                arr = part if arr is None else (arr * part) % p
-            acc = (acc + coeff * (arr if arr is not None else 1)) % p
-        return np.nonzero(acc == 0)[0].astype(np.int64)
-    add_t, mul_t = arithmetic_tables(spec)
-    terms_t = [(c.to_index(), [(i, e) for i, e in enumerate(exps) if e]) for exps, c in P.terms]
-    max_exp = max((e for _, ve in terms_t for _, e in ve), default=0)
-    pow_tab = power_index_table(spec, max_exp)
-    acc = np.zeros(n, dtype=np.uint16)
-    for coeff_idx, ve in terms_t:
-        cur: np.ndarray | int = coeff_idx
-        for i, e in ve:
-            cur = mul_t[cur, pow_tab[e][suffix[i]]]
-        acc = add_t[acc, cur]
-    return np.nonzero(acc == 0)[0].astype(np.int64)
-
-
-def _index_coordinates(indices: np.ndarray, q: int, rho: int) -> list[np.ndarray]:
-    """Coordinate element-indices of odometer point numbers (x0 most significant)."""
-    return [(indices // q ** (rho - 1 - i)) % q for i in range(rho)]
+    logs = [np.concatenate(col) for col in columns]
+    best = None
+    for mu in itertools.product(range(q - 1), repeat=G.r):
+        code = np.zeros(n, dtype=np.int32)
+        for i, lg in enumerate(logs):
+            shift = sum(w * m for w, m in zip(G.weights[i], mu)) % (q - 1)
+            code = code * q + scaled[lg + shift]
+        best = code if best is None else np.minimum(best, code)
+    seen = np.zeros(points, dtype=bool)
+    seen[best] = True
+    return int(np.count_nonzero(seen))
 
 
 # --------------------------------------------------------------------------
@@ -601,15 +519,7 @@ def check_esnault(
     d = multidegree(P, G)
     mu = ax_exponent(G, d)
     q = spec.q
-    n_aff = affine_count(P, spec, work_cap=work_cap)
-    n_exc = exceptional_on_hypersurface(P, space, spec, work_cap=work_cap)
-    denom = (q - 1) ** G.r
-    diff = n_aff - n_exc
-    if diff % denom:
-        raise NonIntegralQuotient(
-            f"(N_affine - N_exceptional) = {diff} not divisible by (q-1)^{G.r} = {denom}"
-        )
-    n_toric = diff // denom
+    n_aff, n_exc, n_toric = _toric_counts(P, space, spec, work_cap)
     residue = n_toric % q
     return CongruenceReport(
         kind="Esnault",

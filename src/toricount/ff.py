@@ -8,8 +8,10 @@ reproducible across implementations.
 
 Enumeration order is the base-p integer encoding: element number n has
 coefficients (n mod p, (n // p) mod p, ...), so F_4 enumerates as
-[0, 1, t, t+1]. The same encoding indexes the precomputed numpy arithmetic
-tables used by the counting kernels.
+[0, 1, t, t+1]. The same encoding indexes the numpy tables built here: the
+discrete logarithm and exponential tables of a primitive element, O(q) in
+size, on which the counting kernel runs for every field, and the q x q
+addition and multiplication tables of small fields.
 """
 
 from __future__ import annotations
@@ -417,7 +419,7 @@ def p_weight(n: int, p: int) -> int:
 
 
 # --------------------------------------------------------------------------
-# numpy lookup tables for the vectorized counting kernels
+# numpy lookup tables, indexed by enumeration order
 # --------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -441,32 +443,35 @@ def arithmetic_tables(spec: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
     return add, mul
 
 
-@lru_cache(maxsize=None)
-def power_index_table(spec: FieldSpec, max_exp: int) -> np.ndarray:
-    """Array [e, i] = index of (element i)^e for 0 <= e <= max_exp (0^0 = 1)."""
-    q = spec.q
-    if q > TABLE_CAP:
-        raise CapExceeded(f"arithmetic tables limited to q <= {TABLE_CAP}, got q = {q}")
-    _, mul = arithmetic_tables(spec)
-    out = np.zeros((max_exp + 1, q), dtype=np.uint16)
-    one = spec.one().to_index()
-    out[0, :] = one
-    if max_exp >= 1:
-        out[1, :] = np.arange(q, dtype=np.uint16)
-        for e in range(2, max_exp + 1):
-            out[e, :] = mul[out[e - 1, :], np.arange(q)]
-    out.setflags(write=False)
-    return out
+def _times_matrix(c: FieldElement) -> np.ndarray:
+    """Matrix of x -> c*x on coefficient vectors (column j = coefficients of c*t^j)."""
+    spec = c.spec
+    basis = [spec.element([int(i == j) for i in range(spec.f)]) for j in range(spec.f)]
+    return np.array([(c * b).coeffs for b in basis], dtype=np.int64).T
 
 
 @lru_cache(maxsize=None)
-def power_mod_table(p: int, max_exp: int) -> np.ndarray:
-    """Array [e, v] = v^e mod p for prime fields (0^0 = 1), dtype int64."""
-    out = np.zeros((max_exp + 1, p), dtype=np.int64)
-    for v in range(p):
-        acc = 1
-        for e in range(max_exp + 1):
-            out[e, v] = acc
-            acc = acc * v % p
-    out.setflags(write=False)
-    return out
+def log_tables(spec: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(log, exp) of the first element g in enumeration order that generates F_q^*.
+
+    exp[k] is the index of g^k for 0 <= k < q-1, and log[exp[k]] = k; log[0] is
+    -1, as 0 has no logarithm. Both are int64 and read-only, and take O(q)
+    space; the powers are built by doubling, each step one vectorized
+    product with the matrix of multiplication by g^n.
+    """
+    p, f, q = spec.p, spec.f, spec.q
+    for g in map(spec.from_index, range(1, q)):
+        coeffs = np.array([spec.one().coeffs], dtype=np.int64)
+        while len(coeffs) < q - 1:
+            power = g ** len(coeffs)
+            if power == spec.one():  # the order of g is below q-1
+                break
+            coeffs = np.concatenate([coeffs, coeffs @ _times_matrix(power).T % p])
+        exp = coeffs[: q - 1] @ (p ** np.arange(f, dtype=np.int64))
+        log = np.full(q, -1, dtype=np.int64)
+        log[exp] = np.arange(len(exp), dtype=np.int64)
+        if np.count_nonzero(log >= 0) == q - 1:  # the powers of g are distinct
+            exp.setflags(write=False)
+            log.setflags(write=False)
+            return log, exp
+    raise AssertionError("unreachable: F_q^* is cyclic")

@@ -105,6 +105,23 @@ def test_count_projective_line_section(capsys):
     assert payload["residues"]["mod_p"]["residue"] == 0
 
 
+def test_count_evaluates_the_grid_once(capsys, monkeypatch, tmp_path):
+    inst = random_instance(F3, 4)
+    path = tmp_path / "inst.json"
+    path.write_text(inst.to_json())
+    calls = []
+    real = count_mod.affine_count
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(count_mod, "affine_count", counted)
+    code, payload, _ = run_json(capsys, "count", "--field", "GF(3)", "--instance", str(path))
+    assert code == EXIT_PASS and len(calls) == 1
+    assert payload["n_toric"] * 4 == payload["n_affine"] - payload["n_exceptional"]
+
+
 def test_count_requires_exactly_one_source(capsys, tmp_path):
     code, _, err = run(capsys, "count", "--field", "GF(2)", "--fan", "projective(2)")
     assert code == EXIT_INPUT

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +15,7 @@ from toricount.count import (
     exceptional_on_hypersurface,
     toric_count_orbits,
     toric_count_quotient,
+    _zero_masks,
 )
 from toricount.errors import (
     CapExceeded,
@@ -52,6 +54,8 @@ F3 = make_field(3)
 F4 = make_field(2, 2)
 F5 = make_field(5)
 F9 = make_field(3, 2)
+F289 = make_field(17, 2)
+F512 = make_field(2, 9)
 
 BLOWUP = builtin("blowup_p4_line")
 
@@ -74,19 +78,41 @@ def small_poly(draw):
 
 @given(small_poly())
 def test_affine_count_matches_oracle(P):
-    expected = naive_affine_count(P, P.domain)
-    assert affine_count(P, P.domain) == expected
-    assert affine_count(P, P.domain, method="python") == expected
-    if P.domain.f == 1:
-        assert affine_count(P, P.domain, method="modp") == expected
-    if P.domain.q <= 256:
-        assert affine_count(P, P.domain, method="table") == expected
+    assert affine_count(P, P.domain) == naive_affine_count(P, P.domain)
+
+
+@pytest.mark.parametrize(
+    "spec,nvars,max_exp,nterms", [(F512, 1, 12, 5), (F289, 2, 3, 3)], ids=["GF(2^9)", "GF(17^2)"]
+)
+def test_affine_count_matches_oracle_large_fields(spec, nvars, max_exp, nterms):
+    # fields above the q x q table cap of ff.arithmetic_tables
+    rng = SplitMix64(spec.q)
+    mapping = {}
+    for _ in range(nterms):
+        exps = tuple(rng.next_below(max_exp) for _ in range(nvars))
+        mapping[exps] = spec.from_index(rng.next_below(spec.q))
+    P = MultiPoly.from_dict(nvars, spec, mapping)
+    assert affine_count(P, spec) == naive_affine_count(P, spec)
 
 
 @given(small_poly(), st.integers(0, 3))
 def test_partition_independence(P, bv):
     bv = min(bv, P.nvars)
-    assert affine_count(P, P.domain, block_vars=bv) == affine_count(P, P.domain, method="python")
+    assert affine_count(P, P.domain, block_vars=bv) == naive_affine_count(P, P.domain)
+
+
+def test_zero_masks_reduce_digits_before_they_overflow():
+    # Over GF(2^13) each F_2 digit of a value gets 4 bits of the packed int64, so
+    # the 16 terms of x0 + ... + x15, all equal to 1 at (1, ..., 1), would carry
+    # out of the lowest digit unless the kernel reduced mod 2 within the block.
+    spec = make_field(2, 13)
+    n = 16
+    P = MultiPoly.from_dict(
+        n, spec, {tuple(int(i == j) for i in range(n)): spec.one() for j in range(n)}
+    )
+    axes = [np.ones(1, dtype=np.int64)] * (n - 1) + [np.arange(spec.q)]
+    (block, mask), = _zero_masks(P, spec, axes)
+    assert [int(block[-1][i]) for i in np.nonzero(mask.ravel())[0]] == [1]
 
 
 def test_frozen_counts():
@@ -302,6 +328,33 @@ def test_check_esnault_random(spec, seed):
     assert rep.n_exceptional == 2 * q**3 - 1
     assert (rep.n_affine - rep.n_exceptional) % (q - 1) ** 2 == 0
     assert rep.ax_pass
+
+
+# (p, f, seed, n_affine, n_exceptional, n_toric) of check_esnault(random_instance(GF(p^f), seed))
+# and toric_count_orbits of strict transforms over GF(5), by seed. The values were
+# recorded with the earlier counting code (separate prime-field, table and orbit
+# kernels and an inclusion-exclusion over strata), at fields the oracle cannot reach.
+GOLDEN_ESNAULT = [
+    (7, 1, 1, 21889, 685, 589),
+    (7, 1, 2, 19621, 685, 526),
+    (7, 1, 3, 19873, 685, 533),
+    (2, 3, 1, 37136, 1023, 737),
+    (2, 3, 2, 39488, 1023, 785),
+    (3, 2, 1, 76401, 1457, 1171),
+    (3, 2, 2, 72369, 1457, 1108),
+    (11, 1, 1, 185361, 2661, 1827),
+    (11, 1, 2, 188661, 2661, 1860),
+]
+GOLDEN_ORBITS_F5 = {1: 281, 2: 246, 3: 236}
+
+
+def test_golden_counts():
+    for p, f, seed, *counts in GOLDEN_ESNAULT:
+        rep = check_esnault(random_instance(make_field(p, f), seed))
+        assert [rep.n_affine, rep.n_exceptional, rep.n_toric] == counts, (p, f, seed)
+    for seed, orbits in GOLDEN_ORBITS_F5.items():
+        P = strict_transform(random_instance(F5, seed))
+        assert toric_count_orbits(P, BLOWUP, F5) == orbits, seed
 
 
 def test_blowup_space_cached():

@@ -1,6 +1,5 @@
 import itertools
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,11 +15,10 @@ from toricount.ff import (
     arithmetic_tables,
     enumerate_field,
     is_prime,
+    log_tables,
     make_field,
     p_weight,
     parse_field_name,
-    power_index_table,
-    power_mod_table,
     power_sum,
 )
 
@@ -196,16 +194,19 @@ def test_arithmetic_tables_match_elements(p, f):
     assert not add.flags.writeable and not mul.flags.writeable
 
 
-def test_power_tables(f4, f5):
-    tab = power_index_table(f4, 5)
-    for e in range(6):
-        for i, a in enumerate(enumerate_field(f4)):
-            assert tab[e, i] == (a ** e).to_index()
-    pm = power_mod_table(5, 6)
-    assert pm.dtype == np.int64
-    for e in range(7):
-        for v in range(5):
-            assert pm[e, v] == (pow(v, e, 5) if (v, e) != (0, 0) else 1)
+@pytest.mark.parametrize("p,f", [(2, 1), (5, 1), (2, 2), (3, 2), (2, 3)])
+def test_log_tables(p, f):
+    spec = make_field(p, f)
+    q = spec.q
+    log, exp = log_tables(spec)
+    assert log[0] == -1
+    for i in range(1, q):
+        assert exp[log[i]] == i
+    # exp lists the powers of one generator, and they cover F_q^*
+    g = spec.from_index(int(exp[1])) if q > 2 else spec.one()
+    assert [(g ** k).to_index() for k in range(q - 1)] == exp.tolist()
+    assert sorted(exp.tolist()) == list(range(1, q))
+    assert not log.flags.writeable and not exp.flags.writeable
 
 
 def test_table_cap():
