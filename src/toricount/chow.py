@@ -1,12 +1,20 @@
 """Exact rational arithmetic in the graded rings A_s = Q[x, v]/(x^(3s+3), (x+v)^(2s+2) v^(s+1)).
 
-Both relation generators have total degree 3s+3, so membership of a
-homogeneous class in the ideal is a single exact rational linear system per
-degree, solved with certificates: on membership the cofactor pair (p, q) with
-c = x^(3s+3) p + (x+v)^(2s+2) v^(s+1) q is returned, on non-membership the
-dimension the class adds to the span. The quotient is Artinian with its
-one-dimensional socle in degree 6s+4, generated by the fundamental class
-x^(3s+2) (x+v)^(2s+2) v^s.
+For an order with v > x the two relations have the leading terms x^(3s+3)
+and v^(3s+3). These are coprime, so the relations are already a Groebner
+basis (Buchberger's first criterion; Cox-Little-O'Shea, Ideals, Varieties,
+and Algorithms, 2.9), and one division routine answers every question asked
+here. A homogeneous class c divides as
+
+    c = x^(3s+3) p + (x+v)^(2s+2) v^(s+1) q + r
+
+with r supported on the standard monomials x^i v^j, i, j <= 3s+2. r is the
+normal form; c is in the ideal iff r == 0, and then (p, q) is the cofactor
+certificate; the standard monomials give the Hilbert function. The quotient
+is Artinian with its one-dimensional socle in degree 6s+4, spanned by
+x^(3s+2) v^(3s+2), the normal form of the fundamental class
+x^(3s+2) (x+v)^(2s+2) v^s. All of it is exact rational arithmetic, and
+integral on integral input.
 
 ``tsen_certificate`` packages the existence argument: the section class
 (5x + 2v)^E is tested for non-vanishing, and (when the complementary power of
@@ -14,10 +22,11 @@ v is nonnegative) the socle coefficient gamma with
 
     (5x + 2v)^E * v^(6s+4-E)  =  gamma * x^(3s+2) (x+v)^(2s+2) v^s   (mod ideal)
 
-is extracted exactly. gamma's sign and integrality are reported as data. v is
-the exceptional class and is not nef, so nothing fixes the sign of gamma (it
-is negative for c <= 1); positivity holds for the pairing with the nef, big
-class u = x + v instead, which the acceptance suite checks.
+is the coefficient of x^(3s+2) v^(3s+2) in the normal form of the left side.
+gamma's sign and integrality are reported as data. v is the exceptional
+class and is not nef, so nothing fixes the sign of gamma (it is negative for
+c <= 1); positivity holds for the pairing with the nef, big class u = x + v
+instead, which the acceptance suite checks.
 
 Classes are plain bivariate polynomials (variables x = x0 and v = x1 of the
 underlying representation); ``multiply`` and ``power`` never reduce — only
@@ -31,20 +40,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
-from sympy import Integer, Matrix, Rational
-
-from .errors import InvalidParams, NotHomogeneous
+from .errors import InvalidParams
 from .poly import QQ, MultiPoly, multidegree, print_poly, standard_grading, substitute
-
-
-def _frac(r) -> Fraction:
-    return Fraction(int(r.p), int(r.q))
-
-
-def _rat(f) -> Rational:
-    f = Fraction(f)
-    return Rational(f.numerator, f.denominator)
 
 
 # --------------------------------------------------------------------------
@@ -136,47 +135,43 @@ def display_xu(c: MultiPoly) -> str:
 
 
 # --------------------------------------------------------------------------
-# graded linear algebra
+# division by the Groebner basis
 # --------------------------------------------------------------------------
 
-def _vector(c: MultiPoly, degree: int) -> list[Rational]:
-    """Coefficients of c in the degree-d basis x^d, x^(d-1)v, ..., v^d."""
-    out = [Rational(0)] * (degree + 1)
-    for (i, j), coeff in c.terms:
-        if i + j != degree:
-            raise NotHomogeneous(f"term x^{i}v^{j} is not of degree {degree}")
-        out[j] = _rat(coeff)
-    return out
+def _reduce(c: MultiPoly, spec: ChowRingSpec) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
+    """Divide a homogeneous class by the relations: (p, q, r) with c = g1 p + g2 q + r.
 
-
-def _from_vector(vec, degree: int) -> MultiPoly:
-    mapping = {}
-    for j, val in enumerate(vec):
-        fr = _frac(Rational(val))
-        if fr:
-            mapping[(degree - j, j)] = fr
-    return MultiPoly.from_dict(2, QQ, mapping)
-
-
-@lru_cache(maxsize=None)
-def _ideal_columns(spec: ChowRingSpec, degree: int) -> Matrix:
-    """Columns: each relation times each monomial of degree d - (3s+3)."""
-    k = degree - spec.relation_degree
-    cols: list[list[Rational]] = []
-    if k >= 0:
-        x, v = class_x(), class_v()
-        for g in relations(spec):
-            for i in range(k + 1):
-                m = x ** (k - i) * v ** i
-                cols.append(_vector(g * m, degree))
-    if not cols:
-        return Matrix.zeros(degree + 1, 0)
-    return Matrix([[col[row] for col in cols] for row in range(degree + 1)])
+    With a = 3s+3, g1 = x^a and g2 = (x+v)^(2s+2) v^(s+1) = sum_l C(2s+2, l)
+    x^l v^(a-l), whose leading terms for v > x are x^a and v^a. Coprime
+    leading terms make (g1, g2) a Groebner basis (Buchberger's first
+    criterion), so the remainder r, supported on x^i v^j with i, j < a, is
+    unique: r == 0 iff c is in the ideal. g2 is monic in v^a, so integral
+    input gives integral p, q and r.
+    """
+    zero = MultiPoly.zero(2, QQ)
+    d = class_degree(c)
+    if d is None:
+        return zero, zero, zero
+    a = spec.relation_degree
+    tail = [comb(2 * spec.s + 2, l) for l in range(2 * spec.s + 3)]
+    vec = [Fraction(0)] * (d + 1)  # vec[j] is the coefficient of x^(d-j) v^j
+    for (_, j), coeff in c.terms:
+        vec[j] = coeff
+    q = {}
+    for j in range(d, a - 1, -1):  # subtract t x^(d-j) v^(j-a) g2 to clear v^j
+        t = vec[j]
+        if t:
+            q[(d - j, j - a)] = t
+            for l, b in enumerate(tail):
+                vec[j - l] -= t * b
+    p = {(d - j - a, j): vec[j] for j in range(d - a + 1) if vec[j]}
+    r = {(d - j, j): vec[j] for j in range(max(0, d - a + 1), min(d, a - 1) + 1) if vec[j]}
+    return tuple(MultiPoly.from_dict(2, QQ, part) for part in (p, q, r))
 
 
 @dataclass(frozen=True)
 class MembershipResult:
-    """Certified verdict: cofactors on membership, added rank on failure."""
+    """Certified verdict: cofactors on membership, else the degree's quotient dimension."""
 
     in_ideal: bool
     degree: int | None
@@ -188,27 +183,13 @@ def ideal_membership(c: MultiPoly, spec: ChowRingSpec) -> MembershipResult:
     """Exact membership of a homogeneous class in (x^(3s+3), (x+v)^(2s+2)v^(s+1)).
 
     Membership always comes with cofactors (p, q) reproducing c, including
-    above the socle degree where the system is always solvable.
+    above the socle degree where every class is a member.
     """
     D = class_degree(c)
-    zero2 = MultiPoly.zero(2, QQ)
-    if D is None:
-        return MembershipResult(in_ideal=True, degree=None, cofactors=(zero2, zero2))
-    k = D - spec.relation_degree
-    if k < 0:
-        return MembershipResult(in_ideal=False, degree=D, quotient_dim=D + 1)
-    A = _ideal_columns(spec, D)
-    b = Matrix(_vector(c, D))
-    try:
-        sol, params = A.gauss_jordan_solve(b)
-    except ValueError:
-        rank = A.rank()
-        return MembershipResult(in_ideal=False, degree=D, quotient_dim=D + 1 - rank)
-    sol = sol.xreplace({p: Integer(0) for p in params})
-    m = k + 1
-    p = _from_vector([sol[i] for i in range(m)], k)
-    q = _from_vector([sol[m + i] for i in range(m)], k)
-    return MembershipResult(in_ideal=True, degree=D, cofactors=(p, q))
+    p, q, r = _reduce(c, spec)
+    if r.is_zero:
+        return MembershipResult(in_ideal=True, degree=D, cofactors=(p, q))
+    return MembershipResult(in_ideal=False, degree=D, quotient_dim=socle_dimension(spec, D))
 
 
 def is_zero(c: MultiPoly, spec: ChowRingSpec) -> bool:
@@ -225,30 +206,27 @@ def check_cofactors(c: MultiPoly, spec: ChowRingSpec, result: MembershipResult) 
 
 
 def normal_form(c: MultiPoly, spec: ChowRingSpec) -> MultiPoly:
-    """Canonical representative: c reduced by the row space of the ideal's graded piece."""
-    D = class_degree(c)
-    if D is None or D < spec.relation_degree:
-        return c
-    A = _ideal_columns(spec, D)
-    rref, pivots = A.T.rref()
-    vec = Matrix([_vector(c, D)]).T
-    for row_idx, col in enumerate(pivots):
-        coeff = vec[col]
-        if coeff != 0:
-            for j in range(D + 1):
-                vec[j] = vec[j] - coeff * rref[row_idx, j]
-    return _from_vector([vec[j] for j in range(D + 1)], D)
+    """Canonical representative: the remainder of c on division by the Groebner basis.
+
+    It is the unique representative supported on the standard monomials
+    x^i v^j with i, j <= 3s+2, so two classes are equal in A_s iff their
+    normal forms are.
+    """
+    return _reduce(c, spec)[2]
 
 
 def socle_dimension(spec: ChowRingSpec, degree: int | None = None) -> int:
-    """Dimension of the degree-d graded piece of the quotient (default: top degree)."""
+    """Dimension of the degree-d graded piece of the quotient (default: top degree).
+
+    The standard monomials of the Groebner basis form a basis of A_s, so this
+    counts the x^i v^(d-i) with i, d-i <= 3s+2: the Hilbert function of
+    (1 + t + ... + t^(3s+2))^2.
+    """
     D = spec.top_degree if degree is None else degree
     if D < 0:
         raise InvalidParams(f"degree must be >= 0, got {D}")
-    if D < spec.relation_degree:
-        return D + 1
-    A = _ideal_columns(spec, D)
-    return D + 1 - A.rank()
+    a = spec.relation_degree
+    return max(0, min(D, a - 1) - max(0, D - a + 1) + 1)
 
 
 # --------------------------------------------------------------------------
@@ -302,6 +280,7 @@ def tsen_certificate(s: int, c: int, E_override: int | None = None) -> TsenCerti
     E defaults to 5s+c+1. gamma is defined by
     (5x+2v)^E * v^(6s+4-E) = gamma * fundamental_class (mod ideal) and is
     extracted whenever the v-exponent 6s+4-E is nonnegative, else None.
+    Above the top degree A_s is zero, so the power is not formed there.
     """
     if s < 0 or c < 0:
         raise InvalidParams(f"need s >= 0 and c >= 0, got ({s}, {c})")
@@ -309,21 +288,19 @@ def tsen_certificate(s: int, c: int, E_override: int | None = None) -> TsenCerti
     if E <= 0:
         raise InvalidParams(f"exponent E must be >= 1, got {E}")
     spec = ChowRingSpec(s)
-    H = hyperplane_class(5, 2)
-    HE = H ** E
-    nonzero = not is_zero(HE, spec)
-    gamma: Fraction | None = None
-    k = spec.top_degree - E
-    if k >= 0:
-        target = HE * class_v() ** k
-        gamma = _socle_coefficient(target, spec)
+    within_socle = E <= spec.top_degree
+    nonzero, gamma = False, None
+    if within_socle:
+        HE = hyperplane_class(5, 2) ** E
+        nonzero = not is_zero(HE, spec)
+        gamma = _socle_coefficient(HE * class_v() ** (spec.top_degree - E), spec)
     return TsenCertificate(
         s=s,
         c=c,
         E=E,
         default_E=E_override is None,
         nonzero=nonzero,
-        within_socle=E <= spec.top_degree,
+        within_socle=within_socle,
         gamma=gamma,
         gamma_positive=None if gamma is None else gamma > 0,
         gamma_integral=None if gamma is None else gamma.denominator == 1,
@@ -334,29 +311,22 @@ def tsen_certificate(s: int, c: int, E_override: int | None = None) -> TsenCerti
 
 
 def _socle_coefficient(target: MultiPoly, spec: ChowRingSpec) -> Fraction:
-    """The unique gamma with target = gamma * fundamental_class (mod ideal).
+    """The gamma with target = gamma * fundamental_class (mod ideal), target of degree 6s+4.
 
-    Well defined because the top graded piece is one-dimensional and the
-    fundamental class is not in the ideal; every solution of the augmented
-    system shares the same gamma coordinate.
+    The top degree has one standard monomial, x^(3s+2) v^(3s+2), and it is
+    the normal form of the fundamental class: every other term of
+    x^(3s+2) (x+v)^(2s+2) v^s is divisible by x^(3s+3).
     """
-    D = spec.top_degree
-    if not target.is_zero and class_degree(target) != D:
-        raise NotHomogeneous(f"socle extraction needs degree {D}")
-    A = _ideal_columns(spec, D)
-    fund = Matrix(_vector(fundamental_class(spec), D))
-    augmented = A.row_join(fund)
-    b = Matrix(_vector(target, D)) if not target.is_zero else Matrix.zeros(D + 1, 1)
-    sol, params = augmented.gauss_jordan_solve(b)
-    sol = sol.xreplace({p: Integer(0) for p in params})
-    return _frac(Rational(sol[augmented.cols - 1]))
+    socle = (spec.relation_degree - 1,) * 2
+    assert normal_form(fundamental_class(spec), spec).as_dict() == {socle: 1}
+    return Fraction(normal_form(target, spec).as_dict().get(socle, 0))
 
 
 def min_section_degree(c: int, s_max: int) -> int | None:
     """Least s <= s_max whose certificate is nonzero, or None."""
-    if c < 0:
-        raise InvalidParams(f"c must be >= 0, got {c}")
-    for s in range(max(0, s_max) + 1):
+    if c < 0 or s_max < 0:
+        raise InvalidParams(f"need c >= 0 and s_max >= 0, got ({c}, {s_max})")
+    for s in range(s_max + 1):
         if tsen_certificate(s, c).nonzero:
             return s
     return None

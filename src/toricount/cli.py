@@ -24,7 +24,7 @@ import sys
 from dataclasses import dataclass
 
 from . import chow, count, quintic
-from .errors import PolyParseError, ToricountError
+from .errors import InvalidParams, PolyParseError, ToricountError
 from .fan import (
     BUILTIN_TEMPLATES,
     Space,
@@ -363,6 +363,8 @@ def cmd_chow(cfg: RunConfig) -> int:
     if cfg.subcommand == "sweep":
         if cfg.c is None or cfg.s_max is None:
             raise ToricountError("sweep needs --c and --s-max")
+        if cfg.s_max < 0:
+            raise InvalidParams(f"s_max must be >= 0, got {cfg.s_max}")
         certs = [chow.tsen_certificate(s, cfg.c) for s in range(cfg.s_max + 1)]
         min_s = next((cert.s for cert in certs if cert.nonzero), None)
         payload = {

@@ -2,14 +2,16 @@
 
 Everything here recomputes results through a different code path than the
 module under test: counting by per-point evaluation over term data, orbit
-counting by explicit orbit-set construction, and socle coefficients by
-Groebner-basis reduction in sympy.
+counting by explicit orbit-set construction, and the ring A_s by sympy's
+Groebner basis for grevlex with x > v (the library divides for v > x) and by
+the Gorenstein-trace recurrence.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import comb
 
 import sympy
 
@@ -111,7 +113,7 @@ def groebner_gamma(s: int, c: int, E: int | None = None) -> Fraction | None:
 
 
 def groebner_is_zero(poly_xv: MultiPoly, s: int) -> bool:
-    """Ideal membership via Groebner reduction (independent of the linear algebra)."""
+    """Ideal membership via sympy's Groebner reduction (independent of the library's division)."""
     x, v = sympy.symbols("x v")
     basis = sympy.groebner(
         [x ** (3 * s + 3), (x + v) ** (2 * s + 2) * v ** (s + 1)], x, v, order="grevlex"
@@ -121,3 +123,45 @@ def groebner_is_zero(poly_xv: MultiPoly, s: int) -> bool:
         fr = Fraction(coeff)
         expr += sympy.Rational(fr.numerator, fr.denominator) * x ** i * v ** j
     return basis.reduce(sympy.expand(expr))[1] == 0
+
+
+def groebner_hilbert(s: int, d_max: int) -> list[int]:
+    """Hilbert function of A_s in degrees 0..d_max from sympy's grevlex basis (x > v).
+
+    Counts the degree-d monomials divisible by no leading monomial of the
+    reduced Groebner basis; for this order the basis has more than the two
+    relations, unlike the library's order v > x.
+    """
+    x, v = sympy.symbols("x v")
+    basis = sympy.groebner(
+        [x ** (3 * s + 3), (x + v) ** (2 * s + 2) * v ** (s + 1)], x, v, order="grevlex"
+    )
+    leads = [sympy.Poly(g, x, v).monoms(order="grevlex")[0] for g in basis.exprs]
+    return [
+        sum(1 for i in range(d + 1) if not any(i >= a and d - i >= b for a, b in leads))
+        for d in range(d_max + 1)
+    ]
+
+
+def trace_gamma(s: int, c: int, E: int | None = None) -> tuple[Fraction | None, bool]:
+    """gamma and the nonvanishing of (5x+2v)^E in A_s from the Gorenstein trace, integers only.
+
+    A_s is a complete intersection with socle degree D = 6s+4. Its trace
+    phi_i = phi(x^i v^(D-i)), normalized on the fundamental class
+    x^(3s+2)(x+v)^(2s+2)v^s, is phi_i = 0 for i >= 3s+3, phi_(3s+2) = 1 and
+    phi_t = -sum_(l>=1) C(2s+2, l) phi_(t+l). gamma is phi((5x+2v)^E v^(D-E)),
+    and (5x+2v)^E != 0 iff some monomial of the complementary degree pairs
+    with it to a nonzero trace (the pairing is perfect). E defaults to 5s+c+1.
+    """
+    D = 6 * s + 4
+    if E is None:
+        E = 5 * s + c + 1
+    if E > D:
+        return None, False
+    phi = [0] * (D + 1)
+    phi[3 * s + 2] = 1
+    for t in range(3 * s + 1, -1, -1):
+        phi[t] = -sum(comb(2 * s + 2, l) * phi[t + l] for l in range(1, 2 * s + 3) if t + l <= D)
+    coeffs = [comb(E, j) * 5 ** j * 2 ** (E - j) for j in range(E + 1)]
+    pairings = [sum(a * phi[j + i] for j, a in enumerate(coeffs)) for i in range(D - E + 1)]
+    return Fraction(pairings[0]), any(pairings)

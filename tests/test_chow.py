@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -30,7 +31,7 @@ from toricount.errors import InvalidParams, NotHomogeneous
 from toricount.poly import QQ, MultiPoly, parse
 from toricount.rng import SplitMix64
 
-from oracles import groebner_gamma, groebner_is_zero
+from oracles import groebner_gamma, groebner_hilbert, groebner_is_zero, trace_gamma
 
 X = class_x()
 V = class_v()
@@ -179,6 +180,22 @@ def test_normal_form_projection():
 
 
 @pytest.mark.parametrize("s", range(4))
+def test_normal_form_standard_monomials(s):
+    # the normal form is the remainder on the standard monomials x^i v^j,
+    # i, j <= 3s+2, and the fundamental class reduces to the socle monomial
+    sp = ChowRingSpec(s)
+    a = sp.relation_degree
+    assert normal_form(fundamental_class(sp), sp) == MultiPoly.monomial(2, QQ, (a - 1, a - 1), 1)
+    H = hyperplane_class(5, 2)
+    for d in range(sp.top_degree + 2):
+        monomials = [X ** (d - i) * V ** i for i in range(d + 1)]
+        for c in monomials + [H ** d, H ** (d // 2) * fundamental_class(sp)]:
+            nf = normal_form(c, sp)
+            assert all(i <= a - 1 and j <= a - 1 for i, j in nf.as_dict()), (d, nf)
+            assert is_zero(c - nf, sp)
+
+
+@pytest.mark.parametrize("s", range(4))
 def test_hilbert_function(s):
     sp = ChowRingSpec(s)
     assert socle_dimension(sp) == 1
@@ -190,6 +207,9 @@ def test_hilbert_function(s):
     # Hilbert series (1 + t + ... + t^(3s+2))^2
     for k in range(sp.top_degree + 2):
         assert socle_dimension(sp, k) == max(0, min(k, sp.top_degree - k) + 1)
+    # and from the standard monomials of sympy's basis for another order
+    hilbert = groebner_hilbert(s, sp.top_degree + 1)
+    assert [socle_dimension(sp, k) for k in range(sp.top_degree + 2)] == hilbert
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +232,17 @@ def test_frozen_gamma_values(s, c):
 @pytest.mark.parametrize("s,c", [(0, 0), (0, 2), (1, 0), (1, 2), (2, 1)])
 def test_gamma_matches_groebner_oracle(s, c):
     assert groebner_gamma(s, c) == FROZEN_GAMMA[(s, c)]
+
+
+@pytest.mark.parametrize("s", range(13))
+def test_certificate_matches_trace_oracle(s):
+    # the Gorenstein-trace recurrence shares no code with the division and
+    # reaches s where the sympy oracle is too slow
+    for c in range(6):
+        cert = tsen_certificate(s, c)
+        assert (cert.gamma, cert.nonzero) == trace_gamma(s, c), (s, c)
+    cert = tsen_certificate(s, 0, E_override=3 * s + 2)
+    assert (cert.gamma, cert.nonzero) == trace_gamma(s, 0, E=3 * s + 2)
 
 
 def test_gamma_override_exponent():
@@ -239,6 +270,16 @@ def test_certificate_edges():
     assert d["gamma"] == -2484 and d["nonzero"] is True
 
 
+def test_exponent_above_top_degree_is_not_expanded():
+    # A_s is zero above degree 6s+4, so a huge E must not form (5x+2v)^E
+    t0 = time.monotonic()
+    for s, E in ((0, 10**6), (3, 23), (5, 10**9)):
+        cert = tsen_certificate(s, 0, E_override=E)
+        assert cert.E == E and not cert.within_socle
+        assert not cert.nonzero and cert.gamma is None and cert.gamma_positive is None
+    assert time.monotonic() - t0 < 1.0
+
+
 def test_gamma_sign_pattern():
     # the socle coefficient is negative for c in {0, 1} and positive for
     # c in {2, 3} across small s — recorded because downstream checks
@@ -257,6 +298,9 @@ def test_min_section_degree():
     assert min_section_degree(0, 2) == 0
     assert min_section_degree(2, 4) == 0
     assert min_section_degree(8, 4) is None  # 5s+9 > 6s+4 for all s <= 4
+    for bad in ((0, -1), (0, -5), (-1, 2)):
+        with pytest.raises(InvalidParams):
+            min_section_degree(*bad)
     for c in range(4):
         s0 = min_section_degree(c, 3)
         assert s0 is not None

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -329,6 +330,20 @@ def test_chow_sweep(capsys):
 def test_chow_invalid_params(capsys):
     code, _, err = run(capsys, "chow", "certify", "--s", "-1", "--c", "0")
     assert code == EXIT_INPUT
+    code, out, err = run(capsys, "chow", "sweep", "--c", "0", "--s-max", "-1")
+    assert code == EXIT_INPUT and out == "" and "s_max" in err
+
+
+def test_chow_certify_large_s_and_exponent_finish(capsys):
+    # s = 10 once took 90 s in a linear solve; E far above the top degree
+    # once expanded (5x+2v)^E term by term
+    budget = 1.0
+    for args in (["--s", "10", "--c", "0"], ["--s", "0", "--c", "0", "--E", "1000000"]):
+        t0 = time.monotonic()
+        code, payload, _ = run_json(capsys, "chow", "certify", *args)
+        assert time.monotonic() - t0 < budget, args
+        assert code == EXIT_PASS
+    assert payload["certificates"][1]["nonzero"] is False
 
 
 # ---------------------------------------------------------------------------
