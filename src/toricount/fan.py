@@ -2,10 +2,13 @@
 
 A simplicial fan is stored as primitive integer rays plus index sets of
 maximal cones. From the rays we derive the multigrading of the homogeneous
-coordinate ring: the grading group is the cokernel of x -> (<n_i, x>)_i,
-computed by Smith normal form; its free part gives one weight row per ray.
-Primitive collections (minimal ray sets lying in no cone) describe the
-exceptional locus removed before the torus quotient.
+coordinate ring: the grading group is the cokernel of x -> (<n_i, x>)_i. One
+integer Hermite normal form N^T U = [0 | H], U unimodular, gives it: the first
+rho - rank columns of U are a basis of the integer kernel of N^T (the relations
+among the rays), row i of that basis is the weight row of the i-th coordinate,
+and the invariant factors of H are the torsion. Primitive collections
+(minimal ray sets lying in no cone) describe the exceptional locus removed
+before the torus quotient.
 
 Weight matrices are only canonical up to unimodular column operations. We
 normalize deterministically: Hermite normal form of the column lattice, then
@@ -23,10 +26,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from sympy import Matrix
-from sympy.matrices.normalforms import hermite_normal_form, smith_normal_decomp
-
 from .errors import (
+    CapExceeded,
     InvalidParams,
     NonEffectiveGrading,
     NonPrimitiveRay,
@@ -39,6 +40,10 @@ MAX_RAYS = 16
 
 #: Bound on column-combination coefficients in the nonnegative-representative search.
 _NONNEG_SEARCH_BOUND = 6
+
+#: Steps the nonnegative-representative search may take: coefficient tuples
+#: enumerated plus column subsets tested.
+WEIGHT_SEARCH_CAP = 10 ** 5
 
 
 # --------------------------------------------------------------------------
@@ -121,8 +126,8 @@ def validate(fan: Fan) -> Fan:
         for i in cone:
             if not 0 <= i < fan.rho:
                 raise InvalidParams(f"cone {idx} references invalid ray index {i}")
-        rows = [fan.rays[i] for i in cone]
-        if Matrix(rows).rank() != len(cone):
+        cols = [[fan.rays[i][t] for i in cone] for t in range(fan.dim)]
+        if len(_column_hnf(cols)[0][0]) != len(cone):
             raise NonSimplicialFan(f"cone {idx} = {cone} has linearly dependent rays")
     for a, b in itertools.combinations(range(len(cone_sets)), 2):
         if cone_sets[a] <= cone_sets[b] or cone_sets[b] <= cone_sets[a]:
@@ -170,37 +175,68 @@ def exceptional_set(fan: Fan) -> ExceptionalSet:
     return ExceptionalSet(strata=primitive_collections(fan))
 
 
-def count_exceptional(obj, spec_or_q) -> int:
-    """#Z(F_q): inclusion-exclusion over the union of coordinate subspaces.
+# --------------------------------------------------------------------------
+# integer Hermite normal form
+# --------------------------------------------------------------------------
 
-    `obj` may be a Fan, Space, or ExceptionalSet; `spec_or_q` a FieldSpec or int q.
+def _column_hnf(A: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """Column Hermite normal form: (H, U) with A*U = [0 | H] and U unimodular.
+
+    Cohen, *A Course in Computational Algebraic Number Theory*, Algorithm 2.4.5:
+    rows are processed bottom-up, each pivot is positive and sits in the
+    rightmost free column, and the entries right of a pivot lie in [0, pivot).
+    H has rank(A) columns and depends only on the column lattice of A. Every
+    column operation also acts on an identity block, which becomes U.
     """
-    strata, rho = _strata_and_rho(obj)
-    q = spec_or_q if isinstance(spec_or_q, int) else spec_or_q.q
-    return _union_subspace_count(strata, rho, q)
+    m = len(A)
+    n = len(A[0]) if m else 0
+    M = [[int(x) for x in row] for row in A] + [[int(i == j) for j in range(n)] for i in range(n)]
+    k = n  # leftmost pivot column so far
+    for i in range(m - 1, -1, -1):
+        if k == 0:
+            break
+        k -= 1
+        for j in range(k - 1, -1, -1):
+            while M[i][j]:  # Euclid on columns j and k: row i ends with gcd in k, 0 in j
+                t = M[i][k] // M[i][j]
+                for row in M:
+                    row[k], row[j] = row[j], row[k] - t * row[j]
+        if M[i][k] < 0:
+            for row in M:
+                row[k] = -row[k]
+        pivot = M[i][k]
+        if pivot == 0:
+            k += 1  # row i is zero left of here; the column stays free
+            continue
+        for j in range(k + 1, n):
+            t = M[i][j] // pivot
+            for row in M:
+                row[j] -= t * row[k]
+    return [row[k:] for row in M[:m]], M[m:]
 
 
-def _strata_and_rho(obj) -> tuple[tuple[tuple[int, ...], ...], int]:
-    if isinstance(obj, Fan):
-        return exceptional_set(obj).strata, obj.rho
-    if isinstance(obj, Space):
-        return obj.exceptional.strata, obj.grading.rho
-    raise InvalidParams(f"expected Fan or Space, got {type(obj).__name__}")
+def _is_unimodular(T: Sequence[Sequence[int]]) -> bool:
+    """|det T| = 1 for a square T, i.e. its HNF is the identity."""
+    n = len(T)
+    return _column_hnf(T)[0] == [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def _union_subspace_count(strata: Sequence[Sequence[int]], rho: int, q: int) -> int:
-    if len(strata) > 20:
-        raise InvalidParams("too many exceptional strata for inclusion-exclusion")
-    total = 0
-    for k in range(1, len(strata) + 1):
-        for combo in itertools.combinations(strata, k):
-            union = set().union(*combo)
-            total += (-1) ** (k + 1) * q ** (rho - len(union))
-    return total
+def _invariant_factors(H: list[list[int]]) -> list[int]:
+    """Invariant factors of a full-column-rank H in HNF, each dividing the next.
+
+    HNFs of the transpose alternate until the matrix is diagonal; gcd/lcm
+    exchanges then put the diagonal in divisibility order.
+    """
+    while any(x for i, row in enumerate(H) for j, x in enumerate(row) if i != j):
+        H = _column_hnf([list(col) for col in zip(*H)])[0]
+    d = [H[i][i] for i in range(len(H[0]))]
+    for i, j in itertools.combinations(range(len(d)), 2):
+        d[i], d[j] = math.gcd(d[i], d[j]), math.lcm(d[i], d[j])
+    return d
 
 
 # --------------------------------------------------------------------------
-# grading derivation (Smith normal form of the ray relation)
+# grading derivation (integer kernel of the ray matrix)
 # --------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -212,47 +248,54 @@ def grading_from_fan(fan: Fan, require_free: bool = True) -> GradingData:
     are reported in `torsion` (or raised when `require_free`).
     """
     validate(fan)
-    N = Matrix([list(ray) for ray in fan.rays])  # rho x d
-    D, U, V = smith_normal_decomp(N)
-    # sanity: exact decomposition with unimodular transforms
-    assert (U * N * V - D).is_zero_matrix
-    assert abs(U.det()) == 1 and abs(V.det()) == 1
-    diag = [D[i, i] for i in range(min(D.shape))]
-    rank = sum(1 for d in diag if d != 0)
-    torsion = tuple(int(abs(d)) for d in diag if d != 0 and abs(d) != 1)
+    rho = fan.rho
+    A = [[ray[t] for ray in fan.rays] for t in range(fan.dim)]  # N^T, d x rho
+    H, U = _column_hnf(A)
+    rank = len(H[0])
+    # sanity: exact decomposition with a unimodular transform
+    product = [[sum(a * u for a, u in zip(row, col)) for col in zip(*U)] for row in A]
+    assert product == [[0] * (rho - rank) + h for h in H]
+    assert _is_unimodular(U)
+    torsion = tuple(x for x in _invariant_factors(H) if x != 1)
     if torsion and require_free:
         raise TorsionClassGroup(
             f"grading group has invariant factors {torsion}; free grading required"
         )
-    rho = fan.rho
     r = rho - rank
     if r == 0:
         return GradingData(rho=rho, r=0, weights=tuple(() for _ in range(rho)), torsion=torsion)
-    W = U[rank:, :].T  # rho x r; row i = free-part coordinates of [e_i]
-    W = _normalize_weights(W)
-    weights = tuple(tuple(int(W[i, j]) for j in range(r)) for i in range(rho))
-    return GradingData(rho=rho, r=r, weights=weights, torsion=torsion)
+    # the first r columns of U are a basis of ker N^T, the relations among the
+    # rays; row i holds the free-part coordinates of [e_i]
+    W = [row[:r] for row in U]
+    return GradingData(rho=rho, r=r, weights=_normalize_weights(W), torsion=torsion)
 
 
-def _normalize_weights(W: Matrix) -> Matrix:
+def _charge(work: int) -> int:
+    if work > WEIGHT_SEARCH_CAP:
+        raise CapExceeded(f"weight normalization needs more than {WEIGHT_SEARCH_CAP} steps")
+    return work
+
+
+def _normalize_weights(W: list[list[int]]) -> tuple[tuple[int, ...], ...]:
     """Deterministic nonnegative representative of the column lattice of W.
 
     Candidate columns are small integer combinations of the HNF basis; we pick
     the first unimodular r-subset in (entry-sum, lex) order and sort the chosen
-    columns in descending lexicographic order.
+    columns in descending lexicographic order. Both searches charge one budget.
     """
-    rho, r = W.shape
-    H = hermite_normal_form(W)
-    if H.shape[1] != r:
+    r = len(W[0])
+    H = _column_hnf(W)[0]
+    if len(H[0]) != r:
         raise InvalidParams("weight matrix does not have full column rank")
+    work = 0
     candidates: list[tuple[tuple[int, ...], tuple[int, ...]]] = []  # (column, coeffs)
     seen: set[tuple[int, ...]] = set()
     for bound in range(1, _NONNEG_SEARCH_BOUND + 1):
+        work = _charge(work + (2 * bound + 1) ** r)
         for t in itertools.product(range(-bound, bound + 1), repeat=r):
             if max((abs(x) for x in t), default=0) != bound:
                 continue  # only new shell
-            col = H * Matrix(r, 1, list(t))
-            vec = tuple(int(col[i]) for i in range(rho))
+            vec = tuple(sum(h * c for h, c in zip(row, t)) for row in H)
             if vec in seen or any(x < 0 for x in vec) or all(x == 0 for x in vec):
                 continue
             seen.add(vec)
@@ -262,21 +305,20 @@ def _normalize_weights(W: Matrix) -> Matrix:
     candidates.sort(key=lambda cv: (sum(cv[0]), cv[0]))
     candidates = candidates[:60]
     for combo in itertools.combinations(candidates, r):
-        T = Matrix([list(cv[1]) for cv in combo]).T
-        if abs(T.det()) == 1:
+        work = _charge(work + 1)
+        if _is_unimodular([cv[1] for cv in combo]):
             cols = sorted((cv[0] for cv in combo), reverse=True)
-            return Matrix([list(c) for c in cols]).T
+            return tuple(zip(*cols))
     raise NonEffectiveGrading(
-        f"no nonnegative unimodular representative found; HNF basis = {H.tolist()}"
+        f"no nonnegative unimodular representative found; HNF basis = {H}"
     )
 
 
 def unimodular_column_equivalent(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]) -> bool:
     """True iff the two integer matrices have the same column lattice."""
-    MA, MB = Matrix([list(r) for r in A]), Matrix([list(r) for r in B])
-    if MA.shape != MB.shape:
+    if [len(row) for row in A] != [len(row) for row in B]:
         return False
-    return hermite_normal_form(MA) == hermite_normal_form(MB)
+    return _column_hnf(A)[0] == _column_hnf(B)[0]
 
 
 # --------------------------------------------------------------------------

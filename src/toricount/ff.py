@@ -17,6 +17,7 @@ addition and multiplication tables of small fields.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -341,7 +342,7 @@ def _make_field(p: int, f: int, cap: int) -> FieldSpec:
         raise InvalidParams(f"extension degree must be >= 1, got {f}")
     if not is_prime(p):
         raise CompositeP(f"{p} is not prime")
-    if p ** f > cap:
+    if f >= cap.bit_length() or p ** f > cap:  # p^f >= 2^f: no huge power is formed
         raise CapExceeded(f"{p}^{f} exceeds the cardinality cap {cap}")
     for lower in itertools.product(range(p), repeat=f):
         mod = tuple(lower) + (1,)
@@ -368,18 +369,17 @@ def parse_field_name(text: str) -> FieldSpec:
         raise InvalidParams(f"bad field name {text!r}") from exc
     if n < 2:
         raise InvalidParams(f"bad field cardinality {n}")
-    # factor n as p^f
-    for p in range(2, n + 1):
-        if n % p == 0:
-            f = 0
-            m = n
-            while m % p == 0:
-                m //= p
-                f += 1
-            if m != 1:
-                raise CompositeP(f"{n} is not a prime power")
-            return make_field(p, f)
-    raise CompositeP(f"{n} is not a prime power")
+    if n > CARDINALITY_CAP:
+        raise CapExceeded(f"{n} exceeds the cardinality cap {CARDINALITY_CAP}")
+    # factor n as p^f, p its least prime factor
+    p = next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
+    f, m = 0, n
+    while m % p == 0:
+        m //= p
+        f += 1
+    if m != 1:
+        raise CompositeP(f"{n} is not a prime power")
+    return make_field(p, f)
 
 
 @lru_cache(maxsize=None)
@@ -402,19 +402,6 @@ def power_sum(spec: FieldSpec, alpha: int) -> FieldElement:
     total = spec.zero()
     for x in enumerate_field(spec):
         total = total + x ** alpha
-    return total
-
-
-def p_weight(n: int, p: int) -> int:
-    """Sum of base-p digits of n (the p-weight)."""
-    if n < 0:
-        raise InvalidParams("n must be >= 0")
-    if not is_prime(p):
-        raise CompositeP(f"{p} is not prime")
-    total = 0
-    while n:
-        total += n % p
-        n //= p
     return total
 
 

@@ -405,40 +405,6 @@ def substitute(P: MultiPoly, images: Sequence[MultiPoly]) -> MultiPoly:
     return result
 
 
-def scaling_character(
-    P: MultiPoly,
-    grading: GradingData,
-    mu: Sequence[FieldElement],
-    point: Sequence[FieldElement],
-) -> tuple[FieldElement, FieldElement]:
-    """Return (P(mu·point), chi(mu)·P(point)); equal for homogeneous P.
-
-    mu·point scales coordinate i by prod_j mu_j^{A[i][j]}, and
-    chi(mu) = prod_j mu_j^{d_j} where d = multidegree(P).
-    """
-    if len(mu) != grading.r:
-        raise InvalidParams(f"mu has {len(mu)} entries, grading rank is {grading.r}")
-    for m in mu:
-        if m.is_zero:
-            raise InvalidParams("mu entries must be nonzero (torus elements)")
-    d = multidegree(P, grading)
-    scaled = []
-    for i, x in enumerate(point):
-        factor = x
-        for j, mj in enumerate(mu):
-            w = grading.weights[i][j]
-            if w:
-                factor = factor * mj ** w
-        scaled.append(factor)
-    chi = None
-    for j, mj in enumerate(mu):
-        piece = mj ** d[j]
-        chi = piece if chi is None else chi * piece
-    lhs = evaluate(P, scaled)
-    rhs = chi * evaluate(P, point) if chi is not None else evaluate(P, point)
-    return lhs, rhs
-
-
 # --------------------------------------------------------------------------
 # monomial enumeration and seeded random polynomials
 # --------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 Everything here recomputes results through a different code path than the
 module under test: counting by per-point evaluation over term data, orbit
-counting by explicit orbit-set construction, and the ring A_s by sympy's
-Groebner basis for grevlex with x > v (the library divides for v > x) and by
-the Gorenstein-trace recurrence.
+counting by explicit orbit-set construction, the exceptional set by
+inclusion-exclusion over its strata, fan gradings by sympy's Smith and Hermite
+normal forms, and the ring A_s by sympy's Groebner basis for grevlex with
+x > v (the library divides for v > x) and by the Gorenstein-trace recurrence.
 """
 
 from __future__ import annotations
@@ -12,12 +13,20 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import comb
+from typing import Sequence
 
 import sympy
+from sympy import Matrix
+from sympy.matrices.normalforms import hermite_normal_form, smith_normal_decomp
 
-from toricount.fan import Space
+from toricount.errors import (
+    InvalidParams,
+    NonEffectiveGrading,
+    TorsionClassGroup,
+)
+from toricount.fan import Fan, GradingData, Space, validate
 from toricount.ff import FieldElement, FieldSpec, enumerate_field
-from toricount.poly import MultiPoly
+from toricount.poly import MultiPoly, evaluate, multidegree
 
 
 def _eval_term(coeff: FieldElement, exps, point) -> FieldElement:
@@ -165,3 +174,119 @@ def trace_gamma(s: int, c: int, E: int | None = None) -> tuple[Fraction | None, 
     coeffs = [comb(E, j) * 5 ** j * 2 ** (E - j) for j in range(E + 1)]
     pairings = [sum(a * phi[j + i] for j, a in enumerate(coeffs)) for i in range(D - E + 1)]
     return Fraction(pairings[0]), any(pairings)
+
+
+def union_subspace_count(space: Space, q: int) -> int:
+    """#Z(F_q) of the exceptional set: inclusion-exclusion over its coordinate subspaces."""
+    strata, rho = space.exceptional.strata, space.grading.rho
+    total = 0
+    for k in range(1, len(strata) + 1):
+        for combo in itertools.combinations(strata, k):
+            union = set().union(*combo)
+            total += (-1) ** (k + 1) * q ** (rho - len(union))
+    return total
+
+
+def scaling_character(
+    P: MultiPoly,
+    grading: GradingData,
+    mu: Sequence[FieldElement],
+    point: Sequence[FieldElement],
+) -> tuple[FieldElement, FieldElement]:
+    """Return (P(mu·point), chi(mu)·P(point)); equal for homogeneous P.
+
+    mu·point scales coordinate i by prod_j mu_j^{A[i][j]}, and
+    chi(mu) = prod_j mu_j^{d_j} where d = multidegree(P).
+    """
+    if len(mu) != grading.r:
+        raise InvalidParams(f"mu has {len(mu)} entries, grading rank is {grading.r}")
+    for m in mu:
+        if m.is_zero:
+            raise InvalidParams("mu entries must be nonzero (torus elements)")
+    d = multidegree(P, grading)
+    scaled = []
+    for i, x in enumerate(point):
+        factor = x
+        for j, mj in enumerate(mu):
+            w = grading.weights[i][j]
+            if w:
+                factor = factor * mj ** w
+        scaled.append(factor)
+    chi = None
+    for j, mj in enumerate(mu):
+        piece = mj ** d[j]
+        chi = piece if chi is None else chi * piece
+    lhs = evaluate(P, scaled)
+    rhs = chi * evaluate(P, point) if chi is not None else evaluate(P, point)
+    return lhs, rhs
+
+
+# The grading derivation of toricount.fan as it was before the package had its
+# own Hermite normal form: sympy's Smith decomposition of the ray matrix, then
+# sympy's HNF and determinants in the nonnegative-representative search.
+
+def sympy_grading(fan: Fan, require_free: bool = True) -> GradingData:
+    """Cokernel of x -> (<n_i, x>)_i as a weight matrix, canonically normalized.
+
+    The free part of the cokernel has rank r = rho - rank(rays); row i of the
+    returned matrix is the class of the i-th coordinate. Invariant factors > 1
+    are reported in `torsion` (or raised when `require_free`).
+    """
+    validate(fan)
+    N = Matrix([list(ray) for ray in fan.rays])  # rho x d
+    D, U, V = smith_normal_decomp(N)
+    # sanity: exact decomposition with unimodular transforms
+    assert (U * N * V - D).is_zero_matrix
+    assert abs(U.det()) == 1 and abs(V.det()) == 1
+    diag = [D[i, i] for i in range(min(D.shape))]
+    rank = sum(1 for d in diag if d != 0)
+    torsion = tuple(int(abs(d)) for d in diag if d != 0 and abs(d) != 1)
+    if torsion and require_free:
+        raise TorsionClassGroup(
+            f"grading group has invariant factors {torsion}; free grading required"
+        )
+    rho = fan.rho
+    r = rho - rank
+    if r == 0:
+        return GradingData(rho=rho, r=0, weights=tuple(() for _ in range(rho)), torsion=torsion)
+    W = U[rank:, :].T  # rho x r; row i = free-part coordinates of [e_i]
+    W = _sympy_normalize_weights(W)
+    weights = tuple(tuple(int(W[i, j]) for j in range(r)) for i in range(rho))
+    return GradingData(rho=rho, r=r, weights=weights, torsion=torsion)
+
+
+def _sympy_normalize_weights(W: Matrix) -> Matrix:
+    """Deterministic nonnegative representative of the column lattice of W.
+
+    Candidate columns are small integer combinations of the HNF basis; we pick
+    the first unimodular r-subset in (entry-sum, lex) order and sort the chosen
+    columns in descending lexicographic order.
+    """
+    rho, r = W.shape
+    H = hermite_normal_form(W)
+    if H.shape[1] != r:
+        raise InvalidParams("weight matrix does not have full column rank")
+    candidates: list[tuple[tuple[int, ...], tuple[int, ...]]] = []  # (column, coeffs)
+    seen: set[tuple[int, ...]] = set()
+    for bound in range(1, 6 + 1):
+        for t in itertools.product(range(-bound, bound + 1), repeat=r):
+            if max((abs(x) for x in t), default=0) != bound:
+                continue  # only new shell
+            col = H * Matrix(r, 1, list(t))
+            vec = tuple(int(col[i]) for i in range(rho))
+            if vec in seen or any(x < 0 for x in vec) or all(x == 0 for x in vec):
+                continue
+            seen.add(vec)
+            candidates.append((vec, t))
+        if len(candidates) >= 4 * r + 8 and bound >= 2:
+            break
+    candidates.sort(key=lambda cv: (sum(cv[0]), cv[0]))
+    candidates = candidates[:60]
+    for combo in itertools.combinations(candidates, r):
+        T = Matrix([list(cv[1]) for cv in combo]).T
+        if abs(T.det()) == 1:
+            cols = sorted((cv[0] for cv in combo), reverse=True)
+            return Matrix([list(c) for c in cols]).T
+    raise NonEffectiveGrading(
+        f"no nonnegative unimodular representative found; HNF basis = {H.tolist()}"
+    )

@@ -47,6 +47,15 @@ def test_field_info_bad_name(capsys):
     assert code == EXIT_INPUT and "error" in err
 
 
+def test_field_info_huge_cardinality_fails_fast(capsys):
+    # the cardinality was once factored by trial division up to n
+    for name in ("GF(1000000000039)", "GF(3^100000000)"):
+        t0 = time.monotonic()
+        code, _, err = run(capsys, "field-info", "--field", name)
+        assert time.monotonic() - t0 < 1.0, name
+        assert code == EXIT_INPUT and "cardinality cap" in err
+
+
 def test_csv_not_available_for_field_info(capsys):
     code, _, err = run(capsys, "field-info", "--field", "GF(2)", "--format", "csv")
     assert code == EXIT_INPUT and "csv" in err
@@ -85,6 +94,16 @@ def test_fan_check_invalid_file(capsys, tmp_path):
     path.write_text("dim 2\nray 2 0\nray 0 1\ncone 0 1\n")  # non-primitive ray
     code, _, err = run(capsys, "fan", "check", "--fan", str(path))
     assert code == EXIT_INPUT and "error" in err
+
+
+def test_fan_check_many_rays_fails_fast(capsys, tmp_path):
+    # 16 rays in the plane: the weight search would take days, so it is capped
+    path = tmp_path / "rays16.fan"
+    path.write_text("dim 2\n" + "".join(f"ray 1 {k}\ncone {k}\n" for k in range(16)))
+    t0 = time.monotonic()
+    code, _, err = run(capsys, "fan", "check", "--fan", str(path))
+    assert time.monotonic() - t0 < 1.0
+    assert code == EXIT_INPUT and "weight normalization" in err
 
 
 def test_fan_unknown_builtin(capsys):
@@ -382,3 +401,20 @@ def test_module_entry_point():
         timeout=60,
     )
     assert proc.returncode == 0 and "GF(2)" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["-c", "import toricount"], ["-m", "toricount", "chow", "certify", "--s", "10", "--c", "0"]],
+    ids=["import", "chow-certify"],
+)
+def test_cold_start_leaves_sympy_out(argv):
+    # -X importtime lists every module the interpreter imports on stderr
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert "toricount" in proc.stderr and "sympy" not in proc.stderr

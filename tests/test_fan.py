@@ -1,10 +1,18 @@
-import pytest
+import math
+import time
 
+import pytest
+from sympy import Matrix
+from sympy.matrices.normalforms import hermite_normal_form, smith_normal_decomp
+
+from toricount.count import exceptional_on_hypersurface
 from toricount.errors import (
+    CapExceeded,
     InvalidParams,
     NonEffectiveGrading,
     NonPrimitiveRay,
     NonSimplicialFan,
+    ToricountError,
     TorsionClassGroup,
 )
 from toricount.fan import (
@@ -12,8 +20,9 @@ from toricount.fan import (
     GradingData,
     blowup_p2_fan,
     blowup_p4_line_fan,
+    _column_hnf,
+    _invariant_factors,
     builtin,
-    count_exceptional,
     exceptional_set,
     fan_to_text,
     grading_from_fan,
@@ -25,6 +34,11 @@ from toricount.fan import (
     unimodular_column_equivalent,
     weighted_space,
 )
+from toricount.ff import parse_field_name
+from toricount.poly import MultiPoly
+from toricount.rng import SplitMix64
+
+from oracles import sympy_grading, union_subspace_count
 
 
 # ---------------------------------------------------------------------------
@@ -89,10 +103,19 @@ def test_builtin_parsing():
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_exceptional_counts(q):
-    assert count_exceptional(projective_fan(2), q) == 1
-    assert count_exceptional(blowup_p2_fan(), q) == 2 * q * q - 1
-    assert count_exceptional(blowup_p4_line_fan(), q) == 2 * q ** 3 - 1
-    assert count_exceptional(weighted_space(1, 1, 2), q) == 1
+    # the zero polynomial vanishes on the whole exceptional set
+    spec = parse_field_name(f"GF({q})")
+    expected = {
+        "projective(2)": 1,
+        "blowup_p2": 2 * q * q - 1,
+        "blowup_p4_line": 2 * q ** 3 - 1,
+        "weighted(1,1,2)": 1,
+    }
+    for name, count in expected.items():
+        space = builtin(name)
+        zero = MultiPoly.zero(space.grading.rho, spec)
+        assert exceptional_on_hypersurface(zero, space, spec) == count, name
+        assert union_subspace_count(space, q) == count, name
 
 
 def test_exceptional_strata_from_primitive_collections():
@@ -157,6 +180,82 @@ def test_unimodular_column_equivalence():
     assert unimodular_column_equivalent(A, B)
     C = [(2, 2), (2, 0), (2, 0), (0, 2)]  # index-4 sublattice
     assert not unimodular_column_equivalent(A, C)
+
+
+def _random_matrix(rng, m, n):
+    # small entries, with whole zero rows and columns now and then
+    A = [[rng.next_below(7) - 3 for _ in range(n)] for _ in range(m)]
+    if m and rng.next_below(3) == 0:
+        A[rng.next_below(m)] = [0] * n
+    if n and rng.next_below(3) == 0:
+        j = rng.next_below(n)
+        for row in A:
+            row[j] = 0
+    if m > 1 and rng.next_below(3) == 0:  # rank deficient: a repeated row
+        A[0] = list(A[m - 1])
+    return A
+
+
+def test_column_hnf_matches_sympy():
+    rng = SplitMix64(2024)
+    for _ in range(300):
+        m, n = 1 + rng.next_below(6), 1 + rng.next_below(6)
+        A = _random_matrix(rng, m, n)
+        H, U = _column_hnf(A)
+        MA, MH, rank = Matrix(A), Matrix(m, len(H[0]), sum(H, [])), len(H[0])
+        assert MH == hermite_normal_form(MA), A
+        assert rank == MA.rank()
+        assert MA * Matrix(U) == Matrix.hstack(Matrix.zeros(m, n - rank), MH)
+        assert abs(Matrix(U).det()) == 1
+
+
+def test_invariant_factors_match_smith():
+    rng = SplitMix64(7)
+    for _ in range(200):
+        m, n = 1 + rng.next_below(5), 1 + rng.next_below(5)
+        A = _random_matrix(rng, m, n)
+        D = smith_normal_decomp(Matrix(A))[0]
+        expected = [abs(int(D[i, i])) for i in range(min(m, n)) if D[i, i] != 0]
+        assert _invariant_factors(_column_hnf(A)[0]) == expected, A
+
+
+def _random_fan(rng):
+    d = 1 + rng.next_below(4)
+    rho = 1 + rng.next_below(6)
+    rays = []
+    for _ in range(50):
+        ray = tuple(rng.next_below(5) - 2 for _ in range(d))
+        if len(rays) < rho and math.gcd(*ray) == 1 and ray not in rays:
+            rays.append(ray)
+    return make_fan(d, rays, [(i,) for i in range(len(rays))])
+
+
+def _grading_outcome(derive, fan, require_free):
+    try:
+        return derive(fan, require_free)
+    except ToricountError as exc:
+        return type(exc), str(exc)
+
+
+def test_grading_matches_sympy_oracle():
+    # the grading depends on the rays only; one-ray cones keep every ray set valid
+    outcomes = set()
+    for seed in range(60):
+        fan = _random_fan(SplitMix64(seed))
+        for require_free in (True, False):
+            ours = _grading_outcome(grading_from_fan, fan, require_free)
+            assert ours == _grading_outcome(sympy_grading, fan, require_free), fan
+            outcomes.add(ours[0] if isinstance(ours, tuple) else bool(ours.torsion))
+    assert outcomes == {TorsionClassGroup, NonEffectiveGrading, True, False}
+
+
+def test_weight_search_is_capped():
+    # 2-D, 16 rays: the grading has rank 14, so even the first shell has 3^14 tuples
+    fan = make_fan(2, [(1, k) for k in range(16)], [(i,) for i in range(16)])
+    t0 = time.monotonic()
+    with pytest.raises(CapExceeded):
+        grading_from_fan(fan)
+    assert time.monotonic() - t0 < 1.0
 
 
 def test_weights_canonical_up_to_column_basis():

@@ -17,7 +17,6 @@ from toricount.ff import (
     is_prime,
     log_tables,
     make_field,
-    p_weight,
     parse_field_name,
     power_sum,
 )
@@ -170,16 +169,6 @@ def test_power_sum_values(f4):
     for alpha in range(0, 3 * (q - 1) + 1):
         expected = minus_one if alpha > 0 and alpha % (q - 1) == 0 else f4.zero()
         assert power_sum(f4, alpha) == expected, alpha
-
-
-def test_p_weight():
-    assert p_weight(0, 2) == 0
-    assert p_weight(0b1011, 2) == 3
-    assert p_weight(3 ** 4 + 2 * 3 + 1, 3) == 4
-    with pytest.raises(CompositeP):
-        p_weight(5, 4)
-    with pytest.raises(InvalidParams):
-        p_weight(-1, 2)
 
 
 @pytest.mark.parametrize("p,f", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3)])

@@ -29,12 +29,13 @@ from toricount.poly import (
     parse,
     print_poly,
     random_homogeneous,
-    scaling_character,
     standard_grading,
     substitute,
     total_generator_degree,
 )
 from toricount.rng import SplitMix64
+
+from oracles import scaling_character
 
 F2 = make_field(2)
 F3 = make_field(3)
