@@ -21,7 +21,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import chow, count, quintic
 from .errors import InvalidParams, PolyParseError, ToricountError
@@ -48,54 +47,29 @@ EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 
 
-@dataclass
-class RunConfig:
-    """One resolved invocation; exactly one polynomial source may be set."""
-
-    command: str
-    subcommand: str | None = None
-    field: FieldSpec | None = None
-    fan_name: str | None = None
-    poly_text: str | None = None
-    instance_path: str | None = None
-    seed: int | None = None
-    batch: int | None = None
-    degree: tuple[int, ...] | None = None
-    policy: str = "any"
-    s: int | None = None
-    c: int | None = None
-    E: int | None = None
-    s_max: int | None = None
-    trials: int = 8
-    work_cap: int | None = None
-    out_format: str = "table"
-    out_path: str | None = None
-    timing: bool = False
-
-
 # --------------------------------------------------------------------------
 # rendering
 # --------------------------------------------------------------------------
 
-def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.out_path:
-        with open(cfg.out_path, "w", encoding="utf-8") as fh:
+def _emit(args: argparse.Namespace, text: str) -> None:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _render(cfg: RunConfig, payload: dict, table: str, csv_data=None) -> None:
-    if cfg.out_format == "json":
-        _emit(cfg, json.dumps(payload, indent=2) + "\n")
-    elif cfg.out_format == "csv":
+def _render(args: argparse.Namespace, payload: dict, table: str, csv_data=None) -> None:
+    if args.format == "json":
+        _emit(args, json.dumps(payload, indent=2) + "\n")
+    elif args.format == "csv":
         if csv_data is None:
             raise ToricountError("csv output is not available for this command")
         header, rows = csv_data
         lines = [",".join(header)] + [",".join(row) for row in rows]
-        _emit(cfg, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     else:
-        _emit(cfg, table.rstrip("\n") + "\n")
+        _emit(args, table.rstrip("\n") + "\n")
 
 
 def _kv_table(pairs) -> str:
@@ -107,8 +81,7 @@ def _kv_table(pairs) -> str:
 # shared argument resolution
 # --------------------------------------------------------------------------
 
-def _resolve_space(cfg: RunConfig) -> Space:
-    name = cfg.fan_name
+def _resolve_space(name: str | None) -> Space:
     if name is None:
         raise ToricountError("a fan is required: --fan <builtin-or-file>")
     if os.path.exists(name):
@@ -117,38 +90,34 @@ def _resolve_space(cfg: RunConfig) -> Space:
     return builtin(name)
 
 
-def _require_field(cfg: RunConfig) -> FieldSpec:
-    if cfg.field is None:
+def _require_field(args: argparse.Namespace) -> FieldSpec:
+    if args.field is None:
         raise ToricountError("a field is required: --field GF(q)")
-    return cfg.field
+    return args.field
 
 
-def _require_seed(cfg: RunConfig) -> int:
-    if cfg.seed is None:
+def _require_seed(args: argparse.Namespace) -> int:
+    if args.seed is None:
         raise ToricountError("--seed is required whenever randomness is used")
-    return cfg.seed
+    return args.seed
 
 
-def _load_instance(cfg: RunConfig) -> quintic.QuinticInstance:
-    with open(cfg.instance_path, encoding="utf-8") as fh:
+def _load_instance(args: argparse.Namespace) -> quintic.QuinticInstance:
+    with open(args.instance, encoding="utf-8") as fh:
         inst = quintic.QuinticInstance.from_json(fh.read())
-    if cfg.field is not None and inst.field != cfg.field:
+    if args.field is not None and inst.field != args.field:
         raise ToricountError(
-            f"instance is over {inst.field.name} but --field {cfg.field.name} was given"
+            f"instance is over {inst.field.name} but --field {args.field.name} was given"
         )
     return inst
-
-
-def _report_payload(cfg: RunConfig, rep: count.CongruenceReport) -> dict:
-    return rep.to_dict(include_timing=cfg.timing)
 
 
 # --------------------------------------------------------------------------
 # subcommand handlers
 # --------------------------------------------------------------------------
 
-def cmd_field_info(cfg: RunConfig) -> int:
-    spec = _require_field(cfg)
+def cmd_field_info(args: argparse.Namespace) -> int:
+    spec = _require_field(args)
     payload = {
         "name": spec.name,
         "p": spec.p,
@@ -158,16 +127,16 @@ def cmd_field_info(cfg: RunConfig) -> int:
         "modulus_str": spec.modulus_str,
     }
     table = _kv_table(list(payload.items()))
-    _render(cfg, payload, table)
+    _render(args, payload, table)
     return EXIT_PASS
 
 
-def cmd_fan(cfg: RunConfig) -> int:
-    if cfg.subcommand == "list":
+def cmd_fan(args: argparse.Namespace) -> int:
+    if args.subcommand == "list":
         payload = {"builtins": list(BUILTIN_TEMPLATES)}
-        _render(cfg, payload, "\n".join(BUILTIN_TEMPLATES))
+        _render(args, payload, "\n".join(BUILTIN_TEMPLATES))
         return EXIT_PASS
-    space = _resolve_space(cfg)
+    space = _resolve_space(args.fan)
     G = space.grading
     payload = {
         "name": space.name,
@@ -183,30 +152,28 @@ def cmd_fan(cfg: RunConfig) -> int:
         payload["max_cones"] = [sorted(c) for c in space.fan.max_cones]
     pairs = [(k, json.dumps(v) if isinstance(v, list) else str(v)) for k, v in payload.items()]
     table = _kv_table(pairs)
-    if cfg.subcommand == "check":
+    if args.subcommand == "check":
         payload["valid"] = True
         table += "\nvalid  true"
-    _render(cfg, payload, table)
+    _render(args, payload, table)
     return EXIT_PASS
 
 
-def cmd_count(cfg: RunConfig) -> int:
-    spec = _require_field(cfg)
-    if (cfg.poly_text is None) == (cfg.instance_path is None):
+def cmd_count(args: argparse.Namespace) -> int:
+    spec = _require_field(args)
+    if (args.poly is None) == (args.instance is None):
         raise ToricountError("exactly one of --poly or --instance is required")
-    if cfg.instance_path is not None:
-        inst = _load_instance(cfg)
-        if cfg.fan_name is None:
-            cfg.fan_name = "blowup_p4_line"
-        space = _resolve_space(cfg)
+    if args.instance is not None:
+        inst = _load_instance(args)
+        space = count.blowup_p4_space() if args.fan is None else _resolve_space(args.fan)
         P = quintic.strict_transform(inst)
     else:
-        space = _resolve_space(cfg)
-        P = parse(cfg.poly_text, space.grading.rho, spec)
+        space = _resolve_space(args.fan)
+        P = parse(args.poly, space.grading.rho, spec)
     G = space.grading
     if P.nvars != G.rho:
         raise ToricountError(f"polynomial has {P.nvars} variables, fan has {G.rho} rays")
-    n_aff, n_exc, n_tor = count._toric_counts(P, space, spec, cfg.work_cap)
+    n_aff, n_exc, n_tor = count._toric_counts(P, space, spec, args.work_cap)
     mu = ax_exponent(G, degree_bounds(P, G))
     payload = {
         "field": spec.name,
@@ -237,79 +204,77 @@ def cmd_count(cfg: RunConfig) -> int:
         ("N_affine mod q^mu", f"{n_aff % spec.q ** mu} (mod {spec.q ** mu})"),
         ("N_toric mod q", f"{n_tor % spec.q} (mod {spec.q})"),
     ]
-    _render(cfg, payload, _kv_table(pairs))
+    _render(args, payload, _kv_table(pairs))
     return EXIT_PASS
 
 
-def _verify_reports(cfg: RunConfig) -> tuple[list[count.CongruenceReport], list[dict]]:
+def _verify_reports(args: argparse.Namespace) -> tuple[list[count.CongruenceReport], list[dict]]:
     """Reports plus the serialized inputs (for failure round-trips)."""
-    spec = _require_field(cfg)
-    kind = cfg.subcommand
+    spec = _require_field(args)
+    kind = args.subcommand
     reports: list[count.CongruenceReport] = []
     sources: list[dict] = []
 
     if kind == "esnault":
-        if cfg.instance_path is not None:
-            instances = [_load_instance(cfg)]
+        if args.instance is not None:
+            instances = [_load_instance(args)]
         else:
-            if not cfg.batch:
+            if not args.batch:
                 raise ToricountError("esnault needs --instance or --batch N --seed S")
-            instances = quintic.random_batch(spec, _require_seed(cfg), cfg.batch, cfg.policy)
+            instances = quintic.random_batch(spec, _require_seed(args), args.batch, args.policy)
         for inst in instances:
-            reports.append(count.check_esnault(inst, work_cap=cfg.work_cap))
+            reports.append(count.check_esnault(inst, work_cap=args.work_cap))
             sources.append(inst.to_dict())
         return reports, sources
 
     check = count.check_cw if kind == "cw" else count.check_ax
-    if cfg.poly_text is not None:
-        space = _resolve_space(cfg)
-        P = parse(cfg.poly_text, space.grading.rho, spec)
-        reports.append(check(P, space.grading, spec, work_cap=cfg.work_cap))
+    if args.poly is not None:
+        space = _resolve_space(args.fan)
+        P = parse(args.poly, space.grading.rho, spec)
+        reports.append(check(P, space.grading, spec, work_cap=args.work_cap))
         sources.append({"poly": print_poly(P), "fan": space.name, "field": spec.name})
         return reports, sources
 
-    if not cfg.batch:
+    if not args.batch:
         raise ToricountError(f"{kind} needs --poly or --batch N --seed S")
-    if cfg.fan_name is None:
-        cfg.fan_name = "blowup_p4_line"
-    space = _resolve_space(cfg)
-    seed = _require_seed(cfg)
-    if space.name == "blowup_p4_line" and cfg.degree is None:
-        for inst in quintic.random_batch(spec, seed, cfg.batch, cfg.policy):
+    space = count.blowup_p4_space() if args.fan is None else _resolve_space(args.fan)
+    seed = _require_seed(args)
+    if space.name == "blowup_p4_line" and args.degree is None:
+        for inst in quintic.random_batch(spec, seed, args.batch, args.policy):
             P = quintic.strict_transform(inst)
-            reports.append(check(P, space.grading, spec, work_cap=cfg.work_cap))
+            reports.append(check(P, space.grading, spec, work_cap=args.work_cap))
             sources.append(inst.to_dict())
         return reports, sources
-    if cfg.degree is None:
+    if args.degree is None:
         raise ToricountError("--degree d1,...,dr is required for random batches on this fan")
     rng = SplitMix64(seed)
-    for k in range(cfg.batch):
-        P = random_homogeneous(space.grading, cfg.degree, spec, SplitMix64(rng.next_tagged(k)))
-        reports.append(check(P, space.grading, spec, work_cap=cfg.work_cap))
+    for k in range(args.batch):
+        P = random_homogeneous(space.grading, args.degree, spec, SplitMix64(rng.next_tagged(k)))
+        reports.append(check(P, space.grading, spec, work_cap=args.work_cap))
         sources.append({"poly": print_poly(P), "fan": space.name, "field": spec.name})
     return reports, sources
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    reports, sources = _verify_reports(cfg)
+def cmd_verify(args: argparse.Namespace) -> int:
+    reports, sources = _verify_reports(args)
     failures = [
-        {"report": _report_payload(cfg, rep), "input": src}
+        {"report": rep.to_dict(include_timing=args.timing), "input": src}
         for rep, src in zip(reports, sources)
         if not rep.passed
     ]
     payload = {
-        "check": cfg.subcommand,
-        "field": cfg.field.name if cfg.field else None,
+        "check": args.subcommand,
+        "field": args.field.name if args.field else None,
         "batch": len(reports),
-        "seed": cfg.seed,
+        "seed": args.seed,
         "passed": len(reports) - len(failures),
         "failed": len(failures),
         "all_pass": not failures,
         "failures": failures,
-        "reports": [_report_payload(cfg, rep) for rep in reports],
+        "reports": [rep.to_dict(include_timing=args.timing) for rep in reports],
     }
     lines = [
-        f"check     {cfg.subcommand}",
+        f"check     {args.subcommand}",
         f"field     {payload['field']}",
         f"total     {len(reports)}",
         f"passed    {payload['passed']}",
@@ -319,23 +284,23 @@ def cmd_verify(cfg: RunConfig) -> int:
         lines.append(f"mu        {reports[0].mu}")
     table = "\n".join(lines)
     csv_rows = [rep.to_csv_row() for rep in reports]
-    _render(cfg, payload, table, (list(count.CongruenceReport.CSV_FIELDS), csv_rows))
+    _render(args, payload, table, (list(count.CongruenceReport.CSV_FIELDS), csv_rows))
     return EXIT_PASS if not failures else EXIT_VIOLATION
 
 
-def cmd_quintic(cfg: RunConfig) -> int:
-    if cfg.subcommand == "random":
-        spec = _require_field(cfg)
-        inst = quintic.random_instance(spec, _require_seed(cfg), cfg.policy)
+def cmd_quintic(args: argparse.Namespace) -> int:
+    if args.subcommand == "random":
+        spec = _require_field(args)
+        inst = quintic.random_instance(spec, _require_seed(args), args.policy)
         payload = inst.to_dict()
-        _render(cfg, payload, inst.describe())
+        _render(args, payload, inst.describe())
         return EXIT_PASS
     # show
-    if cfg.instance_path is not None:
-        inst = _load_instance(cfg)
+    if args.instance is not None:
+        inst = _load_instance(args)
     else:
-        spec = _require_field(cfg)
-        inst = quintic.random_instance(spec, _require_seed(cfg), cfg.policy)
+        spec = _require_field(args)
+        inst = quintic.random_instance(spec, _require_seed(args), args.policy)
     ambient = quintic.ambient_quintic(inst)
     strict = quintic.strict_transform(inst)
     blowup = count.blowup_p4_space()
@@ -344,7 +309,7 @@ def cmd_quintic(cfg: RunConfig) -> int:
         "ambient": print_poly(ambient),
         "strict_transform": print_poly(strict),
         "bidegree": list(multidegree(strict, blowup.grading)),
-        "pullback_identity": quintic.pullback_identity_check(inst, trials=cfg.trials, seed=0),
+        "pullback_identity": quintic.pullback_identity_check(inst, trials=args.trials, seed=0),
     }
     table = "\n".join(
         [
@@ -355,36 +320,36 @@ def cmd_quintic(cfg: RunConfig) -> int:
             f"pullback identity = {payload['pullback_identity']}",
         ]
     )
-    _render(cfg, payload, table)
+    _render(args, payload, table)
     return EXIT_PASS
 
 
-def cmd_chow(cfg: RunConfig) -> int:
-    if cfg.subcommand == "sweep":
-        if cfg.c is None or cfg.s_max is None:
+def cmd_chow(args: argparse.Namespace) -> int:
+    if args.subcommand == "sweep":
+        if args.c is None or args.s_max is None:
             raise ToricountError("sweep needs --c and --s-max")
-        if cfg.s_max < 0:
-            raise InvalidParams(f"s_max must be >= 0, got {cfg.s_max}")
-        certs = [chow.tsen_certificate(s, cfg.c) for s in range(cfg.s_max + 1)]
+        if args.s_max < 0:
+            raise InvalidParams(f"s_max must be >= 0, got {args.s_max}")
+        certs = [chow.tsen_certificate(s, args.c) for s in range(args.s_max + 1)]
         min_s = next((cert.s for cert in certs if cert.nonzero), None)
         payload = {
-            "c": cfg.c,
-            "s_max": cfg.s_max,
+            "c": args.c,
+            "s_max": args.s_max,
             "min_s": min_s,
             "certificates": [cert.to_dict() for cert in certs],
         }
-        lines = [f"c      {cfg.c}", f"s_max  {cfg.s_max}", f"min_s  {min_s}"]
+        lines = [f"c      {args.c}", f"s_max  {args.s_max}", f"min_s  {min_s}"]
         for cert in certs:
             lines.append(
                 f"  s={cert.s}: E={cert.E} nonzero={cert.nonzero} gamma={cert.gamma}"
             )
-        _render(cfg, payload, "\n".join(lines))
+        _render(args, payload, "\n".join(lines))
         return EXIT_PASS
-    if cfg.s is None or cfg.c is None:
+    if args.s is None or args.c is None:
         raise ToricountError("certify needs --s and --c")
-    certs = [chow.tsen_certificate(cfg.s, cfg.c)]
-    if cfg.E is not None:
-        certs.append(chow.tsen_certificate(cfg.s, cfg.c, cfg.E))
+    certs = [chow.tsen_certificate(args.s, args.c)]
+    if args.E is not None:
+        certs.append(chow.tsen_certificate(args.s, args.c, args.E))
     H = chow.hyperplane_class(5, 2)
     payload = {
         "class_xv": chow.display_xv(H),
@@ -397,7 +362,7 @@ def cmd_chow(cfg: RunConfig) -> int:
             f"  s={cert.s} c={cert.c} E={cert.E}{'' if cert.default_E else ' (override)'}: "
             f"nonzero={cert.nonzero} gamma={cert.gamma} socle_dim={cert.socle_dim}"
         )
-    _render(cfg, payload, "\n".join(lines))
+    _render(args, payload, "\n".join(lines))
     violated = any(cert.default_E and cert.within_socle and not cert.nonzero for cert in certs)
     return EXIT_VIOLATION if violated else EXIT_PASS
 
@@ -410,7 +375,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("table", "json", "csv"), default="table")
     p.add_argument("--out", default=None, help="write output to this path instead of stdout")
     p.add_argument("--timing", action="store_true", help="include wall-clock fields in output")
-    p.add_argument("--work-cap", type=int, default=None, help="evaluation budget override")
+    p.add_argument("--work-cap", type=int, default=count.DEFAULT_WORK_CAP,
+                   help="evaluation budget override")
 
 
 def _degree_tuple(text: str) -> tuple[int, ...]:
@@ -492,33 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    field = None
-    if getattr(args, "field", None):
-        field = parse_field_name(args.field)
-    return RunConfig(
-        command=args.command,
-        subcommand=getattr(args, "subcommand", None),
-        field=field,
-        fan_name=getattr(args, "fan", None),
-        poly_text=getattr(args, "poly", None),
-        instance_path=getattr(args, "instance", None),
-        seed=getattr(args, "seed", None),
-        batch=getattr(args, "batch", None),
-        degree=getattr(args, "degree", None),
-        policy=getattr(args, "policy", "any"),
-        s=getattr(args, "s", None),
-        c=getattr(args, "c", None),
-        E=getattr(args, "E", None),
-        s_max=getattr(args, "s_max", None),
-        trials=getattr(args, "trials", 8),
-        work_cap=getattr(args, "work_cap", None),
-        out_format=args.format,
-        out_path=args.out,
-        timing=args.timing,
-    )
-
-
 _HANDLERS = {
     "field-info": cmd_field_info,
     "fan": cmd_fan,
@@ -533,8 +472,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return _HANDLERS[args.command](cfg)
+        args.field = parse_field_name(args.field) if getattr(args, "field", None) else None
+        return _HANDLERS[args.command](args)
     except PolyParseError as exc:
         print(f"polynomial error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import time
 from dataclasses import dataclass
 from typing import Iterator
@@ -44,7 +43,7 @@ from .errors import (
     NonIntegralQuotient,
     TorsionClassGroup,
 )
-from .fan import Fan, GradingData, Space, builtin, grading_from_fan, space_from_fan
+from .fan import GradingData, Space, builtin
 from .ff import FieldSpec, log_tables
 from .poly import (
     MultiPoly,
@@ -57,25 +56,12 @@ from .poly import (
 )
 
 DEFAULT_WORK_CAP = 10 ** 9
-_WORK_CAP_ENV = "TORICOUNT_WORK_CAP"
 
 #: target block size (points) for the zero-mask kernel
 _BLOCK_TARGET = 1 << 20
 
 #: orbit enumeration materializes solution points; keep the full box modest
 _ORBIT_POINT_CAP = 1 << 22
-
-
-def effective_work_cap(work_cap: int | None = None) -> int:
-    if work_cap is not None:
-        return work_cap
-    env = os.environ.get(_WORK_CAP_ENV)
-    if env:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise InvalidParams(f"bad {_WORK_CAP_ENV} value {env!r}") from exc
-    return DEFAULT_WORK_CAP
 
 
 # --------------------------------------------------------------------------
@@ -147,11 +133,7 @@ class CongruenceReport:
 def as_space(obj) -> Space:
     if isinstance(obj, Space):
         return obj
-    if isinstance(obj, Fan):
-        return space_from_fan(obj)
-    if isinstance(obj, str):
-        return builtin(obj)
-    raise InvalidParams(f"expected a Space or Fan, got {type(obj).__name__}")
+    raise InvalidParams(f"expected a Space, got {type(obj).__name__}")
 
 
 def as_grading(obj) -> GradingData:
@@ -159,11 +141,7 @@ def as_grading(obj) -> GradingData:
         return obj
     if isinstance(obj, Space):
         return obj.grading
-    if isinstance(obj, Fan):
-        return grading_from_fan(obj)
-    if isinstance(obj, str):
-        return builtin(obj).grading
-    raise InvalidParams(f"expected a grading-like object, got {type(obj).__name__}")
+    raise InvalidParams(f"expected a GradingData or Space, got {type(obj).__name__}")
 
 
 # --------------------------------------------------------------------------
@@ -273,22 +251,21 @@ def affine_count(
     P: MultiPoly,
     spec: FieldSpec,
     *,
-    work_cap: int | None = None,
+    work_cap: int = DEFAULT_WORK_CAP,
     block_vars: int | None = None,
 ) -> int:
     """Exact #{x in F_q^rho : P(x) = 0}; deterministic, partition independent."""
     _check_poly_field(P, spec)
     q, rho = spec.q, P.nvars
-    cap = effective_work_cap(work_cap)
     points = q ** rho
-    if points > cap:
-        raise CapExceeded(f"{q}^{rho} = {points} evaluations exceed the work cap {cap}")
+    if points > work_cap:
+        raise CapExceeded(f"{q}^{rho} = {points} evaluations exceed the work cap {work_cap}")
     axes = [np.arange(q)] * rho
     return sum(int(np.count_nonzero(mask)) for _, mask in _zero_masks(P, spec, axes, block_vars))
 
 
 def exceptional_on_hypersurface(
-    P: MultiPoly, space_like, spec: FieldSpec, *, work_cap: int | None = None
+    P: MultiPoly, space_like, spec: FieldSpec, *, work_cap: int = DEFAULT_WORK_CAP
 ) -> int:
     """#{x in Z(F_q) : P(x) = 0}, one coordinate subspace per stratum.
 
@@ -300,13 +277,12 @@ def exceptional_on_hypersurface(
     q, rho = spec.q, space.grading.rho
     if P.nvars != rho:
         raise InvalidParams(f"polynomial has {P.nvars} vars, space has {rho}")
-    cap = effective_work_cap(work_cap)
     strata = space.exceptional.strata
     total = 0
     for n, stratum in enumerate(strata):
         points = q ** (rho - len(stratum))
-        if points > cap:
-            raise CapExceeded(f"{points} evaluations on a stratum exceed the work cap {cap}")
+        if points > work_cap:
+            raise CapExceeded(f"{points} evaluations on a stratum exceed the work cap {work_cap}")
         axes = [np.zeros(1, dtype=np.int64) if i in stratum else np.arange(q) for i in range(rho)]
         for block, mask in _zero_masks(P, spec, axes):
             total += int(np.count_nonzero(mask & ~_on_strata(block, strata[:n])))
@@ -330,7 +306,7 @@ def _require_homogeneous_or_zero(P: MultiPoly, G: GradingData) -> None:
 
 
 def _toric_counts(
-    P: MultiPoly, space: Space, spec: FieldSpec, work_cap: int | None
+    P: MultiPoly, space: Space, spec: FieldSpec, work_cap: int
 ) -> tuple[int, int, int]:
     """(N_affine, N_exceptional, N_toric) with N_toric = (N_affine - N_exceptional) / (q-1)^r.
 
@@ -351,14 +327,14 @@ def _toric_counts(
 
 
 def toric_count_quotient(
-    P: MultiPoly, space_like, spec: FieldSpec, *, work_cap: int | None = None
+    P: MultiPoly, space_like, spec: FieldSpec, *, work_cap: int = DEFAULT_WORK_CAP
 ) -> int:
     """(N_affine - N_exceptional) / (q-1)^r with exact divisibility enforced."""
     return _toric_counts(P, as_space(space_like), spec, work_cap)[2]
 
 
 def toric_count_orbits(
-    P: MultiPoly, space_like, spec: FieldSpec, *, work_cap: int | None = None
+    P: MultiPoly, space_like, spec: FieldSpec, *, work_cap: int = DEFAULT_WORK_CAP
 ) -> int:
     """Number of torus orbits on {P = 0} minus the exceptional set.
 
@@ -372,9 +348,8 @@ def toric_count_orbits(
     _require_homogeneous_or_zero(P, G)
     q = spec.q
     rho = G.rho
-    cap = effective_work_cap(work_cap)
     points = q ** rho
-    if points > min(cap, _ORBIT_POINT_CAP):
+    if points > min(work_cap, _ORBIT_POINT_CAP):
         raise CapExceeded(f"{points} points exceed the orbit-enumeration cap")
     # a torus element scales x_i by g^shift_i, which on logs is x -> scaled[log x + shift];
     # 0 takes the log `zero`, past every shifted unit, and `scaled` maps it back to 0
@@ -390,7 +365,7 @@ def toric_count_orbits(
         n += int(np.count_nonzero(keep))
         for i, a in enumerate(block):
             columns[i].append(np.broadcast_to(_axis_view(logs_of[a], i, rho), keep.shape)[keep])
-    if (q - 1) ** G.r * n > cap:
+    if (q - 1) ** G.r * n > work_cap:
         raise CapExceeded("orbit canonicalization exceeds the work cap")
     logs = [np.concatenate(col) for col in columns]
     best = None
@@ -410,7 +385,7 @@ def toric_count_orbits(
 # --------------------------------------------------------------------------
 
 def check_cw(
-    P: MultiPoly, grading_like, spec: FieldSpec, *, work_cap: int | None = None
+    P: MultiPoly, grading_like, spec: FieldSpec, *, work_cap: int = DEFAULT_WORK_CAP
 ) -> CongruenceReport:
     """N ≡ 0 (mod p) whenever some degree bound d_j is below the weight sum a_j."""
     start = time.monotonic()
@@ -436,19 +411,15 @@ def check_cw(
 
 
 def check_cw_projective(
-    P: MultiPoly, spec: FieldSpec, *, work_cap: int | None = None
+    P: MultiPoly, spec: FieldSpec, *, work_cap: int = DEFAULT_WORK_CAP
 ) -> CongruenceReport:
-    """#X(F_q) = (N - 1)/(q - 1) ≡ 1 (mod p) for degree d <= n hypersurfaces in P^n."""
+    """#X(F_q) = (N - 1)/(q - 1) ≡ 1 (mod p) for degree 1 <= d <= n hypersurfaces in P^n."""
     start = time.monotonic()
-    G = standard_grading(P.nvars)
-    d = multidegree(P, G)[0]  # strict homogeneity: the projective count needs orbits
-    n_minus = P.nvars - 1
-    if d > n_minus:
-        raise HypothesisNotMet(f"degree {d} exceeds projective dimension {n_minus}")
-    n_aff = affine_count(P, spec, work_cap=work_cap)
-    if (n_aff - 1) % (spec.q - 1):
-        raise NonIntegralQuotient("(N_affine - 1) not divisible by q - 1")
-    n_proj = (n_aff - 1) // (spec.q - 1)
+    n = P.nvars - 1
+    d = multidegree(P, standard_grading(P.nvars))[0]  # strict homogeneity: orbits are needed
+    if not 1 <= d <= n:
+        raise HypothesisNotMet(f"degree {d} is outside [1, {n}], the range for P^{n}")
+    n_aff, _, n_proj = _toric_counts(P, builtin(f"projective({n})"), spec, work_cap)
     residue = n_proj % spec.p
     return CongruenceReport(
         kind="CW-projective",
@@ -465,7 +436,7 @@ def check_cw_projective(
 
 
 def check_ax(
-    P: MultiPoly, grading_like, spec: FieldSpec, *, work_cap: int | None = None
+    P: MultiPoly, grading_like, spec: FieldSpec, *, work_cap: int = DEFAULT_WORK_CAP
 ) -> CongruenceReport:
     """q^mu | N with mu computed from the grading and the degree bounds."""
     start = time.monotonic()
@@ -505,7 +476,10 @@ def blowup_p4_space() -> Space:
 
 
 def check_esnault(
-    inst: "quintic_mod.QuinticInstance", spec: FieldSpec | None = None, *, work_cap: int | None = None
+    inst: "quintic_mod.QuinticInstance",
+    spec: FieldSpec | None = None,
+    *,
+    work_cap: int = DEFAULT_WORK_CAP,
 ) -> CongruenceReport:
     """Quotient count of the blown-up quintic ≡ 1 (mod q); records the q | N verdict."""
     start = time.monotonic()

@@ -28,10 +28,9 @@ Text grammar (whitespace-insensitive)::
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import (
     ArityMismatch,

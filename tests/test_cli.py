@@ -181,6 +181,19 @@ def test_count_field_instance_mismatch(capsys, tmp_path):
     assert code == EXIT_INPUT and "GF(3)" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--field", "GF(3)", "--fan", "projective(2)", "--poly", "x0"],
+        ["verify", "esnault", "--field", "GF(3)", "--batch", "1", "--seed", "1"],
+    ],
+    ids=["count", "verify"],
+)
+def test_work_cap_flag(capsys, argv):
+    code, _, err = run(capsys, *argv, "--work-cap", "10")
+    assert code == EXIT_INPUT and "exceed the work cap" in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -232,6 +245,11 @@ def test_verify_general_fan_needs_degree(capsys):
         "--batch", "2", "--seed", "1", "--degree", "3",
     )
     assert code == EXIT_PASS and payload["batch"] == 2
+    code, payload, _ = run_json(
+        capsys, "verify", "cw", "--field", "GF(3)", "--fan", "weighted(1,1,2)",
+        "--batch", "3", "--seed", "1", "--degree", "2",
+    )
+    assert code == EXIT_PASS and payload["batch"] == 3
 
 
 def test_verify_csv_format(capsys):
@@ -296,6 +314,8 @@ def test_quintic_show_from_seed(capsys):
     )
     assert code == EXIT_PASS
     assert payload["instance"]["seed"] == 7
+    code, _, err = run(capsys, "quintic", "show", "--seed", "7")
+    assert code == EXIT_INPUT and "a field is required" in err
 
 
 def test_quintic_random_needs_seed_and_field(capsys):

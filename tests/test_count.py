@@ -11,7 +11,6 @@ from toricount.count import (
     check_cw,
     check_cw_projective,
     check_esnault,
-    effective_work_cap,
     exceptional_on_hypersurface,
     toric_count_orbits,
     toric_count_quotient,
@@ -21,7 +20,6 @@ from toricount.errors import (
     CapExceeded,
     FieldMismatch,
     HypothesisNotMet,
-    InvalidParams,
     NonEffectiveGrading,
     NonIntegralQuotient,
     TorsionClassGroup,
@@ -126,16 +124,11 @@ def test_degenerate_inputs():
     assert affine_count(MultiPoly.constant(0, F3, F3.one()), F3) == 0
 
 
-def test_work_cap_enforced(monkeypatch):
+def test_work_cap_enforced():
     with pytest.raises(CapExceeded):
         affine_count(MultiPoly.zero(30, F5), F5, work_cap=10**6)
-    assert effective_work_cap(None) == DEFAULT_WORK_CAP
-    monkeypatch.setenv("TORICOUNT_WORK_CAP", "123456")
-    assert effective_work_cap(None) == 123456
-    assert effective_work_cap(10) == 10
-    monkeypatch.setenv("TORICOUNT_WORK_CAP", "not-a-number")
-    with pytest.raises(InvalidParams):
-        effective_work_cap(None)
+    with pytest.raises(CapExceeded, match=f"work cap {DEFAULT_WORK_CAP}$"):
+        affine_count(MultiPoly.zero(30, F5), F5)
 
 
 def test_field_mismatch_rejected():
@@ -298,6 +291,10 @@ def test_check_cw_projective():
         assert rep.n_toric == (rep.n_affine - 1) // 2
     with pytest.raises(HypothesisNotMet):
         check_cw_projective(parse("x0^5*x1", 5, F3), F3)
+    # a nonzero constant (degree 0) cuts out no hypersurface
+    for spec in (F2, F3):
+        with pytest.raises(HypothesisNotMet):
+            check_cw_projective(MultiPoly.constant(3, spec, 1), spec)
 
 
 def test_check_ax():
