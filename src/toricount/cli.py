@@ -11,7 +11,8 @@ Subcommands
 
 Output is a human table by default; ``--format json`` is the machine
 interface and is byte-identical across reruns for the same arguments
-(timings only appear under ``--timing``). Exit codes: 0 all checks pass,
+(timings only appear under ``--timing``, and what the counts evaluated
+only under ``--stats``). Exit codes: 0 all checks pass,
 1 at least one congruence/certificate failed, 2 usage or input error.
 """
 
@@ -75,6 +76,15 @@ def _render(args: argparse.Namespace, payload: dict, table: str, csv_data=None) 
 def _kv_table(pairs) -> str:
     width = max(len(k) for k, _ in pairs)
     return "\n".join(f"{k.ljust(width)}  {v}" for k, v in pairs)
+
+
+def _stats_pairs(stats: dict) -> list[tuple[str, str]]:
+    rules = ", ".join(f"{name}={n}" for name, n in stats["rules"].items())
+    return [
+        ("rules", rules or "none"),
+        ("points", str(stats["points"])),
+        ("point_terms", str(stats["point_terms"])),
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -173,7 +183,8 @@ def cmd_count(args: argparse.Namespace) -> int:
     G = space.grading
     if P.nvars != G.rho:
         raise ToricountError(f"polynomial has {P.nvars} variables, fan has {G.rho} rays")
-    n_aff, n_exc, n_tor = count._toric_counts(P, space, spec, args.work_cap)
+    stats = count._new_stats() if args.stats else None
+    n_aff, n_exc, n_tor = count._toric_counts(P, space, spec, args.work_cap, stats)
     mu = ax_exponent(G, degree_bounds(P, G))
     payload = {
         "field": spec.name,
@@ -204,6 +215,9 @@ def cmd_count(args: argparse.Namespace) -> int:
         ("N_affine mod q^mu", f"{n_aff % spec.q ** mu} (mod {spec.q ** mu})"),
         ("N_toric mod q", f"{n_tor % spec.q} (mod {spec.q})"),
     ]
+    if stats is not None:
+        payload["stats"] = stats
+        pairs += _stats_pairs(stats)
     _render(args, payload, _kv_table(pairs))
     return EXIT_PASS
 
@@ -223,7 +237,7 @@ def _verify_reports(args: argparse.Namespace) -> tuple[list[count.CongruenceRepo
                 raise ToricountError("esnault needs --instance or --batch N --seed S")
             instances = quintic.random_batch(spec, _require_seed(args), args.batch, args.policy)
         for inst in instances:
-            reports.append(count.check_esnault(inst, work_cap=args.work_cap))
+            reports.append(count.check_esnault(inst, work_cap=args.work_cap, stats=args.stats))
             sources.append(inst.to_dict())
         return reports, sources
 
@@ -231,7 +245,7 @@ def _verify_reports(args: argparse.Namespace) -> tuple[list[count.CongruenceRepo
     if args.poly is not None:
         space = _resolve_space(args.fan)
         P = parse(args.poly, space.grading.rho, spec)
-        reports.append(check(P, space.grading, spec, work_cap=args.work_cap))
+        reports.append(check(P, space.grading, spec, work_cap=args.work_cap, stats=args.stats))
         sources.append({"poly": print_poly(P), "fan": space.name, "field": spec.name})
         return reports, sources
 
@@ -242,7 +256,7 @@ def _verify_reports(args: argparse.Namespace) -> tuple[list[count.CongruenceRepo
     if space.name == "blowup_p4_line" and args.degree is None:
         for inst in quintic.random_batch(spec, seed, args.batch, args.policy):
             P = quintic.strict_transform(inst)
-            reports.append(check(P, space.grading, spec, work_cap=args.work_cap))
+            reports.append(check(P, space.grading, spec, work_cap=args.work_cap, stats=args.stats))
             sources.append(inst.to_dict())
         return reports, sources
     if args.degree is None:
@@ -250,7 +264,7 @@ def _verify_reports(args: argparse.Namespace) -> tuple[list[count.CongruenceRepo
     rng = SplitMix64(seed)
     for k in range(args.batch):
         P = random_homogeneous(space.grading, args.degree, spec, SplitMix64(rng.next_tagged(k)))
-        reports.append(check(P, space.grading, spec, work_cap=args.work_cap))
+        reports.append(check(P, space.grading, spec, work_cap=args.work_cap, stats=args.stats))
         sources.append({"poly": print_poly(P), "fan": space.name, "field": spec.name})
     return reports, sources
 
@@ -282,6 +296,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     ]
     if reports and reports[0].mu is not None:
         lines.append(f"mu        {reports[0].mu}")
+    if args.stats:
+        total = count._new_stats()
+        for rep in reports:
+            count._add_stats(total, rep.stats["rules"], rep.stats["points"], rep.stats["point_terms"])
+        lines += [f"{k.ljust(8)}  {v}" for k, v in _stats_pairs(total)]
     table = "\n".join(lines)
     csv_rows = [rep.to_csv_row() for rep in reports]
     _render(args, payload, table, (list(count.CongruenceReport.CSV_FIELDS), csv_rows))
@@ -379,6 +398,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="evaluation budget override")
 
 
+_STATS_HELP = "report the counting rules that fired and the points x terms evaluated"
+
+
 def _degree_tuple(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(x) for x in text.split(","))
@@ -411,6 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fan", default=None)
     p.add_argument("--poly", default=None, help="polynomial in x0..x{rho-1}")
     p.add_argument("--instance", default=None, help="instance JSON file (strict transform)")
+    p.add_argument("--stats", action="store_true", help=_STATS_HELP)
     _add_common(p)
 
     p = sub.add_parser("verify", help="congruence checks over single inputs or batches")
@@ -426,6 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
         vp.add_argument("--degree", type=_degree_tuple, default=None,
                         help="multidegree d1,...,dr for random batches on general fans")
         vp.add_argument("--policy", choices=quintic.NONZERO_POLICIES, default="any")
+        vp.add_argument("--stats", action="store_true", help=_STATS_HELP)
         _add_common(vp)
 
     p = sub.add_parser("quintic", help="instance generation and inspection")

@@ -1,14 +1,37 @@
 """Exhaustive exact point counting and congruence verdicts.
 
-Counts are exact Python integers. One numpy kernel evaluates P on a box of
-F_q^rho in odometer order (x0 most significant, field elements in enumeration
-order) and yields its zero mask block by block, the same way for prime fields,
-extension fields and q > 256: terms are sums of discrete logs, and their values
-are added as F_p digits. Three counts read that mask: the affine count over
-the whole grid, the exceptional count over each stratum's coordinate subspace,
-and the orbit count, which canonicalizes the solutions under the torus. Results
+Counts are exact Python integers. One numpy kernel evaluates a system of
+polynomials on a box of F_q^m in odometer order (x0 most significant, field
+elements in enumeration order) and yields the mask of their common zeros block
+by block, the same way for prime fields, extension fields and q > 256: terms
+are sums of discrete logs, and their values are added as F_p digits. Results
 are independent of the block partitioning, which `block_vars` exposes for
 testing.
+
+A small planner runs in front of the kernel. It rewrites #Z(P) over F_q^n as
+an integer combination of common-zero counts #Z(S) of systems S on smaller
+boxes, with four exact rules:
+
+* *absent variable* - a variable in no polynomial of S contributes a factor q;
+* *linear variable* - if x_j occurs in one polynomial only, as A + x_j*B, then
+  #Z(A + x_j*B, C) = #Z(C) - #Z(B, C) + q*#Z(A, B, C) over the other variables;
+* *torus chart* - if an integer weighting with x_j of weight 1 makes every
+  polynomial of S homogeneous, the one-parameter torus it defines moves each
+  point with x_j != 0 to x_j = 1, so #Z(S) = #Z(S|x_j=0) + (q-1)*#Z(S|x_j=1)
+  (Cox, "The homogeneous coordinate ring of a toric variety", 1995);
+* *fall-through* - a system no rule fits is evaluated by the kernel.
+
+A rule is kept only when the boxes it leads to hold fewer points than its own
+box, so a plan never evaluates more points than the full grid, and a box of
+at most `_PLAN_MIN_POINTS` points goes to the kernel whole. The strict
+transform x0^2*P3 + x0*x4*Q3 + x4*x5*Q4 of a blown-up quintic plans to
+systems on F_q^4, then of P3, Q3 and Q4 on F_q^3 and below, as far as the
+boxes stay above that floor, instead of the grid F_q^6. The work cap
+charges the points of the boxes a count evaluates, and `_toric_counts` charges
+its plan and the exceptional strata together, before it evaluates anything.
+
+The exceptional count runs the kernel on each stratum's coordinate subspace,
+and the orbit count canonicalizes the kernel's solutions under the torus.
 
 Congruence checks returned as :class:`CongruenceReport`:
 
@@ -16,6 +39,9 @@ Congruence checks returned as :class:`CongruenceReport`:
 * ``check_cw_projective`` - #X(F_q) ≡ 1 (mod p) for projective hypersurfaces.
 * ``check_ax``       - q^mu | N with mu from the grading.
 * ``check_esnault``  - quotient count of the blown-up quintic ≡ 1 (mod q).
+
+With ``stats=True`` a report carries what its counts evaluated: the rules
+that fired, the kernel boxes, their points and points x terms.
 
 The degree hypotheses consume componentwise degree *bounds*, so inhomogeneous
 inputs (e.g. y^2 - P(x) under a weighted grading) are accepted; exact
@@ -29,7 +55,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -43,7 +69,7 @@ from .errors import (
     NonIntegralQuotient,
     TorsionClassGroup,
 )
-from .fan import GradingData, Space, builtin
+from .fan import GradingData, Space, _column_hnf, builtin
 from .ff import FieldSpec, log_tables
 from .poly import (
     MultiPoly,
@@ -63,12 +89,21 @@ _BLOCK_TARGET = 1 << 20
 #: orbit enumeration materializes solution points; keep the full box modest
 _ORBIT_POINT_CAP = 1 << 22
 
+#: systems the planner expands; any further one goes to the kernel whole
+_PLAN_NODE_CAP = 1 << 12
+
+#: boxes of at most this many points go to the kernel whole: on them the kernel's
+#: fixed cost per term outweighs the points a plan saves. Whole, the 5^6-point grid
+#: of a GF(5) quintic and the 11^4-point boxes of a GF(11) one counted faster than
+#: planned; the 13^4-point boxes of a GF(13) one are worth planning.
+_PLAN_MIN_POINTS = 1 << 14
+
 
 # --------------------------------------------------------------------------
 # reports
 # --------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class CongruenceReport:
     """Outcome of one congruence check; `residue` is the checked count mod `modulus`."""
 
@@ -86,6 +121,7 @@ class CongruenceReport:
     mu_classical: int | None = None
     ax_pass: bool | None = None
     elapsed: float = 0.0
+    stats: dict | None = None
 
     def to_dict(self, include_timing: bool = False) -> dict:
         out: dict = {
@@ -108,6 +144,8 @@ class CongruenceReport:
             out["mu_classical"] = self.mu_classical
         if self.ax_pass is not None:
             out["ax_pass"] = self.ax_pass
+        if self.stats is not None:
+            out["stats"] = self.stats
         if include_timing:
             out["timing"] = {"elapsed_s": self.elapsed}
         return out
@@ -184,7 +222,10 @@ def _reduce_digits(acc: np.ndarray, p: int, f: int, bits: int) -> np.ndarray:
 
 
 def _zero_masks(
-    P: MultiPoly, spec: FieldSpec, axes: list[np.ndarray], block_vars: int | None = None
+    system: MultiPoly | Sequence[MultiPoly],
+    spec: FieldSpec,
+    axes: list[np.ndarray],
+    block_vars: int | None = None,
 ) -> Iterator[tuple[list[np.ndarray], np.ndarray]]:
     """Yield (block_axes, mask) over the box axes[0] x ... x axes[rho-1] of F_q^rho.
 
@@ -192,7 +233,8 @@ def _zero_masks(
     into blocks over its leading axes (block_vars of them, or the fewest that
     leave at most _BLOCK_TARGET points a block); block_axes are the axes of one
     block, each leading axis holding one element, and mask, of the block's
-    shape in odometer order, is True where P vanishes.
+    shape in odometer order, is True where every polynomial of `system` (one
+    polynomial or a sequence of them) vanishes.
 
     Every field takes the same path. A term c * prod x_i^e_i is evaluated as
     log c + sum e_i log x_i, broadcast from axis-shaped tables in which a
@@ -201,13 +243,15 @@ def _zero_masks(
     digits are added as integers and reduced mod p once a block, or sooner
     when a digit could overflow its bits.
     """
+    polys = (system,) if isinstance(system, MultiPoly) else tuple(system)
     q, p, f = spec.q, spec.p, spec.f
     rho = len(axes)
     log, exp = log_tables(spec)
-    terms = [
-        (int(log[c.to_index()]), [(i, e) for i, e in enumerate(exps) if e]) for exps, c in P.terms
+    term_lists = [
+        [(int(log[c.to_index()]), [(i, e) for i, e in enumerate(exps) if e]) for exps, c in P.terms]
+        for P in polys
     ]
-    width = max((len(factors) for _, factors in terms), default=0)
+    width = max((len(factors) for terms in term_lists for _, factors in terms), default=0)
     # a log sum without a zero factor stays below the sentinel; one with a zero reaches it
     sentinel = (width + 1) * (q - 1)
     bits = 63 // f
@@ -216,23 +260,27 @@ def _zero_masks(
     value[:sentinel] = np.resize(packed, sentinel)
     # terms that reduced digits (at most p-1) can take before one could overflow
     headroom = ((1 << bits) - 1) // (p - 1) - 1
-    powers = {factor for _, factors in terms for factor in factors}
+    powers = {factor for terms in term_lists for _, factors in terms for factor in factors}
     k = _choose_block_vars([len(a) for a in axes], block_vars)
     for lead in itertools.product(*axes[:k]):
         block = [np.array([v]) for v in lead] + list(axes[k:])
+        shape = tuple(len(a) for a in block)
         logs = {}
         for i, e in powers:
             a = block[i]
             logs[i, e] = _axis_view(np.where(a == 0, sentinel, e * log[a] % (q - 1)), i, rho)
-        acc = np.zeros(tuple(len(a) for a in block), dtype=np.int64)
-        for n, (clog, factors) in enumerate(terms, 1):
-            s = clog
-            for factor in factors:
-                s = s + logs[factor]
-            acc += value[s]
-            if n % headroom == 0:
-                acc = _reduce_digits(acc, p, f, bits)
-        yield block, _reduce_digits(acc, p, f, bits) == 0
+        mask = np.ones(shape, dtype=bool)
+        for terms in term_lists:
+            acc = np.zeros(shape, dtype=np.int64)
+            for n, (clog, factors) in enumerate(terms, 1):
+                s = clog
+                for factor in factors:
+                    s = s + logs[factor]
+                acc += value[s]
+                if n % headroom == 0:
+                    acc = _reduce_digits(acc, p, f, bits)
+            mask &= _reduce_digits(acc, p, f, bits) == 0
+        yield block, mask
 
 
 def _on_strata(axes: list[np.ndarray], strata) -> np.ndarray:
@@ -247,45 +295,285 @@ def _on_strata(axes: list[np.ndarray], strata) -> np.ndarray:
     return out
 
 
+# --------------------------------------------------------------------------
+# the planner
+# --------------------------------------------------------------------------
+
+#: (m, S): the common zeros of the polynomials S, all in m variables, on F_q^m
+Box = tuple[int, frozenset]
+
+
+def _new_stats() -> dict:
+    """What counts evaluated: planner rules fired (`kernel`: boxes left to the
+    kernel), and the points and points x terms of every box evaluated."""
+    return {"rules": {}, "points": 0, "point_terms": 0}
+
+
+def _add_stats(stats: dict, rules: dict, points: int = 0, point_terms: int = 0) -> None:
+    merged = dict(stats["rules"])
+    for name, n in rules.items():
+        merged[name] = merged.get(name, 0) + n
+    stats["rules"] = dict(sorted(merged.items()))
+    stats["points"] += points
+    stats["point_terms"] += point_terms
+
+
+def _restrict(P: MultiPoly, keep: Sequence[int], terms) -> MultiPoly:
+    """The polynomial of `terms` in the variables `keep`, whose others are constant over them."""
+    return MultiPoly(len(keep), P.domain, tuple((tuple(e[i] for i in keep), c) for e, c in terms))
+
+
+def _at_one(P: MultiPoly, j: int) -> MultiPoly:
+    """P with x_j = 1, in the other variables."""
+    acc: dict = {}
+    for e, c in P.terms:
+        key = e[:j] + e[j + 1:]
+        acc[key] = acc[key] + c if key in acc else c
+    terms = sorted(((e, c) for e, c in acc.items() if not c.is_zero), reverse=True)
+    return MultiPoly(P.nvars - 1, P.domain, tuple(terms))
+
+
+def _box(m: int, polys) -> Box | None:
+    """The box of a system, or None when a nonzero constant in it leaves no zeros."""
+    kept = set()
+    for P in polys:
+        if len(P.terms) == 1 and not any(P.terms[0][0]):
+            return None
+        if P.terms:
+            kept.add(P)
+    return m, frozenset(kept)
+
+
+def _orthogonal(lattice: list[list[int]], row: list[int]) -> list[list[int]]:
+    """Generators of the vectors sum a_k*lattice[k] with sum a_k*row[k] = 0.
+
+    The integer kernel of the one-row matrix `row` is read off the unimodular
+    transform of its column Hermite normal form.
+    """
+    if not any(row):
+        return lattice
+    U = _column_hnf([row])[1]
+    m = len(lattice[0])
+    return [
+        [sum(U[k][col] * c[i] for k, c in enumerate(lattice)) for i in range(m)]
+        for col in range(len(lattice) - 1)
+    ]
+
+
+def _homogeneity_lattice(system, m: int) -> list[list[int]]:
+    """Generators of the integer weightings c in Z^m that make every polynomial c-homogeneous."""
+    lattice = [[int(i == j) for j in range(m)] for i in range(m)]
+    for P in system:
+        first = P.terms[0][0]
+        for e, _ in P.terms[1:]:
+            row = [sum((a - b) * x for a, b, x in zip(e, first, c)) for c in lattice]
+            lattice = _orthogonal(lattice, row)
+    return lattice
+
+
+def _project(lattice: list[list[int]], keep: Sequence[int]) -> list[list[int]]:
+    out = []
+    for c in lattice:
+        v = [c[i] for i in keep]
+        if any(v) and v not in out:
+            out.append(v)
+    return out
+
+
+Lattice = list[list[int]] | None
+Child = tuple[int, Box, Lattice]
+
+
+def _expand(box: Box, lattice: Lattice, q: int) -> tuple[str, list[Child]] | None:
+    """The first rule that fits the box, as (name, [(coefficient, box, lattice)]), or None.
+
+    `lattice`, when known, generates integer weightings that make every
+    polynomial of the box homogeneous; a chart passes such weightings to its
+    children, and the other rules leave them to be worked out when needed.
+    """
+    m, system = box
+    degrees = [(P, [max(col) for col in zip(*(e for e, _ in P.terms))]) for P in system]
+    used = [i for i in range(m) if any(d[i] for _, d in degrees)]
+    if len(used) < m:
+        child = (len(used), frozenset(_restrict(P, used, P.terms) for P in system))
+        return "absent", [(q ** (m - len(used)), child, None)]
+    linear = []
+    for j in range(m):
+        holders = [(P, d[j]) for P, d in degrees if d[j]]
+        if len(holders) == 1 and holders[0][1] == 1:
+            P = holders[0][0]
+            linear.append((sum(e[j] for e, _ in P.terms), j, P))
+    if linear:
+        # the variable in the most terms (the first on ties) leaves the fewest terms in A
+        # to share variables with B; in the quintic x4 goes first and x5 stays linear in B
+        _, j, P = max(linear, key=lambda t: (t[0], -t[1]))
+        keep = [i for i in range(m) if i != j]
+        A = _restrict(P, keep, [t for t in P.terms if not t[0][j]])
+        B = _restrict(P, keep, [t for t in P.terms if t[0][j]])
+        C = [_restrict(R, keep, R.terms) for R in system if R is not P]
+        parts = [(1, C), (-1, C + [B]), (q, C + [A, B])]
+        return "linear", [(k, b, None) for k, polys in parts if (b := _box(m - 1, polys))]
+    if lattice is None:
+        lattice = _homogeneity_lattice(system, m)
+    for j in range(m if lattice else 0):
+        if math.gcd(*(c[j] for c in lattice)) == 1:
+            keep = [i for i in range(m) if i != j]
+            zero = [_restrict(P, keep, [t for t in P.terms if not t[0][j]]) for P in system]
+            one = [_at_one(P, j) for P in system]
+            fixed = _project(_orthogonal(lattice, [c[j] for c in lattice]), keep)
+            parts = [(1, zero, _project(lattice, keep)), (q - 1, one, fixed)]
+            return "chart", [(k, b, sub) for k, polys, sub in parts if (b := _box(m - 1, polys))]
+    return None
+
+
+Plan = tuple[dict[Box, int], dict[str, int]]
+
+
+def _plan(P: MultiPoly, q: int) -> Plan:
+    """#Z(P) over F_q^n as {box: coefficient}, and how often each rule fired.
+
+    Each box is given the cheaper of the kernel on its q^m points and the
+    boxes of its first fitting rule; boxes of at most _PLAN_MIN_POINTS points
+    are not expanded, and the box (0, {}) counts 1.
+    """
+    root = _box(P.nvars, [P])
+    if root is None:
+        return {}, {}
+    chosen: dict[Box, tuple[str | None, list[Child]]] = {}
+    _cost(root, None, q, chosen, {})
+    rules: dict[str, int] = {}
+    seen, stack = {root}, [root]
+    while stack:
+        rule, children = chosen[stack.pop()]
+        if rule is not None:
+            rules[rule] = rules.get(rule, 0) + 1
+        for _, child, _ in children:
+            if child not in seen:
+                seen.add(child)
+                stack.append(child)
+    boxes = _combination(root, chosen, {})
+    rules["kernel"] = sum(1 for _, system in boxes if system)
+    return boxes, rules
+
+
+def _cost(box: Box, lattice: Lattice, q: int, chosen: dict, costs: dict) -> int:
+    """Points the kernel evaluates for `box`; records the rule chosen for it in `chosen`."""
+    if box not in costs:
+        m, system = box
+        costs[box] = q ** m if system else 0
+        chosen[box] = (None, [])
+        expand = system and costs[box] > _PLAN_MIN_POINTS and len(costs) <= _PLAN_NODE_CAP
+        rule = _expand(box, lattice, q) if expand else None
+        if rule is not None:
+            expanded = sum(_cost(child, sub, q, chosen, costs) for _, child, sub in rule[1])
+            if expanded < costs[box]:
+                costs[box], chosen[box] = expanded, rule
+    return costs[box]
+
+
+def _combination(box: Box, chosen: dict, combos: dict) -> dict[Box, int]:
+    """#Z(box) as {kernel box: coefficient}, following the rules chosen."""
+    if box not in combos:
+        rule, children = chosen[box]
+        out = {box: 1} if rule is None else {}
+        for k, child, _ in children:
+            for leaf, c in _combination(child, chosen, combos).items():
+                out[leaf] = out.get(leaf, 0) + k * c
+        combos[box] = {leaf: c for leaf, c in out.items() if c}
+    return combos[box]
+
+
+def _plan_points(plan: Plan, q: int) -> int:
+    """Points the kernel evaluates for a plan."""
+    return sum(q ** m for m, system in plan[0] if system)
+
+
+def _charge(points: int, work_cap: int) -> None:
+    if points > work_cap:
+        raise CapExceeded(f"{points} evaluations exceed the work cap {work_cap}")
+
+
+def _run_plan(plan: Plan, spec: FieldSpec, block_vars: int | None, stats: dict | None) -> int:
+    boxes, rules = plan
+    if stats is not None:
+        _add_stats(stats, rules)
+    total = 0
+    for (m, system), coeff in boxes.items():
+        if not system:
+            total += coeff * spec.q ** m
+            continue
+        bv = None if block_vars is None else min(block_vars, m)
+        axes = [np.arange(spec.q)] * m
+        n = sum(int(np.count_nonzero(mask)) for _, mask in _zero_masks(system, spec, axes, bv))
+        total += coeff * n
+        if stats is not None:
+            _add_stats(stats, {}, spec.q ** m, spec.q ** m * sum(len(P.terms) for P in system))
+    return total
+
+
 def affine_count(
     P: MultiPoly,
     spec: FieldSpec,
     *,
     work_cap: int = DEFAULT_WORK_CAP,
     block_vars: int | None = None,
+    stats: dict | None = None,
 ) -> int:
-    """Exact #{x in F_q^rho : P(x) = 0}; deterministic, partition independent."""
+    """Exact #{x in F_q^rho : P(x) = 0}; deterministic, partition independent.
+
+    The work cap bounds the points of the boxes the plan evaluates; `stats`,
+    when given, gains the rules that fired and the points evaluated.
+    """
     _check_poly_field(P, spec)
-    q, rho = spec.q, P.nvars
-    points = q ** rho
-    if points > work_cap:
-        raise CapExceeded(f"{q}^{rho} = {points} evaluations exceed the work cap {work_cap}")
-    axes = [np.arange(q)] * rho
-    return sum(int(np.count_nonzero(mask)) for _, mask in _zero_masks(P, spec, axes, block_vars))
+    if block_vars is not None:
+        _choose_block_vars([spec.q] * P.nvars, block_vars)  # validates the range
+    plan = _plan(P, spec.q)
+    _charge(_plan_points(plan, spec.q), work_cap)
+    return _run_plan(plan, spec, block_vars, stats)
+
+
+def _strata_points(space: Space, q: int) -> int:
+    rho = space.grading.rho
+    return sum(q ** (rho - len(stratum)) for stratum in space.exceptional.strata)
 
 
 def exceptional_on_hypersurface(
-    P: MultiPoly, space_like, spec: FieldSpec, *, work_cap: int = DEFAULT_WORK_CAP
+    P: MultiPoly,
+    space_like,
+    spec: FieldSpec,
+    *,
+    work_cap: int = DEFAULT_WORK_CAP,
+    stats: dict | None = None,
 ) -> int:
     """#{x in Z(F_q) : P(x) = 0}, one coordinate subspace per stratum.
 
     Stratum n contributes the zeros of P on its subspace {x_i = 0, i in
-    stratum} that lie on none of the strata before it.
+    stratum} that lie on none of the strata before it. The work cap bounds
+    the points of all the subspaces together.
     """
     space = as_space(space_like)
+    _check_space_poly(P, space, spec)
+    _charge(_strata_points(space, spec.q), work_cap)
+    return _exceptional(P, space, spec, stats)
+
+
+def _check_space_poly(P: MultiPoly, space: Space, spec: FieldSpec) -> None:
     _check_poly_field(P, spec)
+    if P.nvars != space.grading.rho:
+        raise InvalidParams(f"polynomial has {P.nvars} vars, space has {space.grading.rho}")
+
+
+def _exceptional(P: MultiPoly, space: Space, spec: FieldSpec, stats: dict | None) -> int:
     q, rho = spec.q, space.grading.rho
-    if P.nvars != rho:
-        raise InvalidParams(f"polynomial has {P.nvars} vars, space has {rho}")
     strata = space.exceptional.strata
     total = 0
     for n, stratum in enumerate(strata):
-        points = q ** (rho - len(stratum))
-        if points > work_cap:
-            raise CapExceeded(f"{points} evaluations on a stratum exceed the work cap {work_cap}")
         axes = [np.zeros(1, dtype=np.int64) if i in stratum else np.arange(q) for i in range(rho)]
         for block, mask in _zero_masks(P, spec, axes):
             total += int(np.count_nonzero(mask & ~_on_strata(block, strata[:n])))
+        if stats is not None:
+            points = q ** (rho - len(stratum))
+            _add_stats(stats, {}, points, points * len(P.terms))
     return total
 
 
@@ -306,17 +594,26 @@ def _require_homogeneous_or_zero(P: MultiPoly, G: GradingData) -> None:
 
 
 def _toric_counts(
-    P: MultiPoly, space: Space, spec: FieldSpec, work_cap: int
+    P: MultiPoly, space: Space, spec: FieldSpec, work_cap: int, stats: dict | None = None
 ) -> tuple[int, int, int]:
     """(N_affine, N_exceptional, N_toric) with N_toric = (N_affine - N_exceptional) / (q-1)^r.
 
-    Raises NonIntegralQuotient unless the division is exact.
+    The exceptional strata and the plan of the affine count are charged to
+    one work cap before anything is evaluated: the affine count gets what the
+    strata leave. Raises NonIntegralQuotient unless the division is exact.
     """
     G = space.grading
     _require_free_effective(G)
     _require_homogeneous_or_zero(P, G)
-    n_aff = affine_count(P, spec, work_cap=work_cap)
-    n_exc = exceptional_on_hypersurface(P, space, spec, work_cap=work_cap)
+    _check_space_poly(P, space, spec)
+    strata = _strata_points(space, spec.q)
+    _charge(strata, work_cap)
+    try:
+        n_aff = affine_count(P, spec, work_cap=work_cap - strata, stats=stats)
+    except CapExceeded:  # word the error with the whole charge; only this path plans twice
+        _charge(_plan_points(_plan(P, spec.q), spec.q) + strata, work_cap)
+        raise
+    n_exc = _exceptional(P, space, spec, stats)
     denom = (spec.q - 1) ** G.r
     diff = n_aff - n_exc
     if diff % denom:
@@ -385,7 +682,12 @@ def toric_count_orbits(
 # --------------------------------------------------------------------------
 
 def check_cw(
-    P: MultiPoly, grading_like, spec: FieldSpec, *, work_cap: int = DEFAULT_WORK_CAP
+    P: MultiPoly,
+    grading_like,
+    spec: FieldSpec,
+    *,
+    work_cap: int = DEFAULT_WORK_CAP,
+    stats: bool = False,
 ) -> CongruenceReport:
     """N ≡ 0 (mod p) whenever some degree bound d_j is below the weight sum a_j."""
     start = time.monotonic()
@@ -395,7 +697,8 @@ def check_cw(
     a = total_generator_degree(G)
     if not any(d[j] < a[j] for j in range(G.r)):
         raise HypothesisNotMet(f"degree bounds {d} not below weight sums {a} in any component")
-    n = affine_count(P, spec, work_cap=work_cap)
+    record = _new_stats() if stats else None
+    n = affine_count(P, spec, work_cap=work_cap, stats=record)
     residue = n % spec.p
     return CongruenceReport(
         kind="CW",
@@ -407,11 +710,12 @@ def check_cw(
         residue=residue,
         passed=residue == 0,
         elapsed=time.monotonic() - start,
+        stats=record,
     )
 
 
 def check_cw_projective(
-    P: MultiPoly, spec: FieldSpec, *, work_cap: int = DEFAULT_WORK_CAP
+    P: MultiPoly, spec: FieldSpec, *, work_cap: int = DEFAULT_WORK_CAP, stats: bool = False
 ) -> CongruenceReport:
     """#X(F_q) = (N - 1)/(q - 1) ≡ 1 (mod p) for degree 1 <= d <= n hypersurfaces in P^n."""
     start = time.monotonic()
@@ -419,7 +723,8 @@ def check_cw_projective(
     d = multidegree(P, standard_grading(P.nvars))[0]  # strict homogeneity: orbits are needed
     if not 1 <= d <= n:
         raise HypothesisNotMet(f"degree {d} is outside [1, {n}], the range for P^{n}")
-    n_aff, _, n_proj = _toric_counts(P, builtin(f"projective({n})"), spec, work_cap)
+    record = _new_stats() if stats else None
+    n_aff, _, n_proj = _toric_counts(P, builtin(f"projective({n})"), spec, work_cap, record)
     residue = n_proj % spec.p
     return CongruenceReport(
         kind="CW-projective",
@@ -432,11 +737,17 @@ def check_cw_projective(
         residue=residue,
         passed=residue == 1,
         elapsed=time.monotonic() - start,
+        stats=record,
     )
 
 
 def check_ax(
-    P: MultiPoly, grading_like, spec: FieldSpec, *, work_cap: int = DEFAULT_WORK_CAP
+    P: MultiPoly,
+    grading_like,
+    spec: FieldSpec,
+    *,
+    work_cap: int = DEFAULT_WORK_CAP,
+    stats: bool = False,
 ) -> CongruenceReport:
     """q^mu | N with mu computed from the grading and the degree bounds."""
     start = time.monotonic()
@@ -445,7 +756,8 @@ def check_ax(
     d = degree_bounds(P, G)
     mu = ax_exponent(G, d)
     modulus = spec.q ** mu
-    n = affine_count(P, spec, work_cap=work_cap)
+    record = _new_stats() if stats else None
+    n = affine_count(P, spec, work_cap=work_cap, stats=record)
     residue = n % modulus
     mu_classical = None
     if G.r == 1 and all(row == (1,) for row in G.weights):
@@ -462,6 +774,7 @@ def check_ax(
         mu=mu,
         mu_classical=mu_classical,
         elapsed=time.monotonic() - start,
+        stats=record,
     )
 
 
@@ -480,6 +793,7 @@ def check_esnault(
     spec: FieldSpec | None = None,
     *,
     work_cap: int = DEFAULT_WORK_CAP,
+    stats: bool = False,
 ) -> CongruenceReport:
     """Quotient count of the blown-up quintic ≡ 1 (mod q); records the q | N verdict."""
     start = time.monotonic()
@@ -493,7 +807,8 @@ def check_esnault(
     d = multidegree(P, G)
     mu = ax_exponent(G, d)
     q = spec.q
-    n_aff, n_exc, n_toric = _toric_counts(P, space, spec, work_cap)
+    record = _new_stats() if stats else None
+    n_aff, n_exc, n_toric = _toric_counts(P, space, spec, work_cap, record)
     residue = n_toric % q
     return CongruenceReport(
         kind="Esnault",
@@ -509,4 +824,5 @@ def check_esnault(
         mu=mu,
         ax_pass=n_aff % q ** mu == 0,
         elapsed=time.monotonic() - start,
+        stats=record,
     )

@@ -2,8 +2,9 @@
 
 Everything here recomputes results through a different code path than the
 module under test: counting by per-point evaluation over term data, orbit
-counting by explicit orbit-set construction, the exceptional set by
-inclusion-exclusion over its strata, fan gradings by sympy's Smith and Hermite
+counting by explicit orbit-set construction, the blown-up quintic by its
+fibers over (x1, x2, x3), the exceptional set by inclusion-exclusion over its
+strata, fan gradings by sympy's Smith and Hermite
 normal forms, and the ring A_s by sympy's Groebner basis for grevlex with
 x > v (the library divides for v > x) and by the Gorenstein-trace recurrence.
 """
@@ -15,10 +16,12 @@ from fractions import Fraction
 from math import comb
 from typing import Sequence
 
+import numpy as np
 import sympy
 from sympy import Matrix
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_decomp
 
+from toricount.count import _zero_masks
 from toricount.errors import (
     InvalidParams,
     NonEffectiveGrading,
@@ -27,6 +30,7 @@ from toricount.errors import (
 from toricount.fan import Fan, GradingData, Space, validate
 from toricount.ff import FieldElement, FieldSpec, enumerate_field
 from toricount.poly import MultiPoly, evaluate, multidegree
+from toricount.quintic import QuinticInstance
 
 
 def _eval_term(coeff: FieldElement, exps, point) -> FieldElement:
@@ -51,6 +55,34 @@ def naive_affine_count(P: MultiPoly, spec: FieldSpec) -> int:
         if eval_poly(P, point).is_zero:
             count += 1
     return count
+
+
+def blowup_fiber_count(inst: QuinticInstance) -> int:
+    """N_affine of the strict transform x0^2*P3 + x0*x4*Q3 + x4*x5*Q4, fiber by fiber.
+
+    Over y = (x1, x2, x3) with a, b, c = P3(y), Q3(y), Q4(y), the fiber in
+    (x0, x4, x5) has (q^2 - L) + q*M points, where L = q^2 if b = c = 0 and q
+    otherwise, and M = (1 if c != 0 else q) if a != 0, else M = L. The count
+    sums the fiber over the 8 zero patterns of (a, b, c) on F_q^3. The
+    patterns come from the kernel's masks of P3, Q3 and Q4, one polynomial at a
+    time and with no planner; the kernel itself is checked against
+    `naive_affine_count`.
+    """
+    spec = inst.field
+    q = spec.q
+    axes = [np.arange(q)] * 3
+    a, b, c = (
+        np.concatenate([mask.ravel() for _, mask in _zero_masks(P, spec, axes)]).astype(np.int64)
+        for P in (inst.p3, inst.q3, inst.q4)
+    )
+    patterns = np.bincount(4 * a + 2 * b + c, minlength=8)
+    total = 0
+    for pattern, points in enumerate(patterns):
+        a0, b0, c0 = pattern & 4, pattern & 2, pattern & 1
+        L = q * q if b0 and c0 else q
+        M = L if a0 else (q if c0 else 1)
+        total += int(points) * (q * q - L + q * M)
+    return total
 
 
 def naive_power_sum(spec: FieldSpec, alpha: int) -> FieldElement:

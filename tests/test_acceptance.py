@@ -33,10 +33,10 @@ from toricount.count import (
 from toricount.fan import builtin, primitive_collections, unimodular_column_equivalent
 from toricount.ff import make_field, power_sum
 from toricount.poly import MultiPoly, parse, random_homogeneous, standard_grading
-from toricount.quintic import pullback_identity_check, random_batch
+from toricount.quintic import pullback_identity_check, random_batch, random_instance
 from toricount.rng import SplitMix64
 
-from oracles import groebner_gamma
+from oracles import blowup_fiber_count, groebner_gamma
 
 
 def _report(capsys, label, ok, elapsed, budget):
@@ -137,6 +137,29 @@ def test_criterion_3_4_ax_and_esnault(capsys):
             ok = ok and rep.passed and rep.residue == 1
     elapsed = time.monotonic() - t0
     _report(capsys, "criteria 3+4: q^mu | N and #X = 1 mod q (500 instances)", ok, elapsed, budget)
+    assert ok
+    assert elapsed < budget
+
+
+def test_criterion_4b_esnault_beyond_the_grid(capsys):
+    # fields the grid F_q^6 puts out of reach (from q = 32 it exceeds the default work
+    # cap); the planner counts the strict transform on boxes of F_q^4 and below
+    budget = 30.0
+    t0 = time.monotonic()
+    ok = True
+    for p, f in [(13, 1), (2, 4), (5, 2), (3, 3), (2, 5), (2, 6), (101, 1)]:
+        spec = make_field(p, f)
+        q = spec.q
+        for seed in range(5):
+            inst = random_instance(spec, 4400 + seed)
+            rep = check_esnault(inst)
+            ok = ok and rep.passed and rep.n_toric % q == 1
+            ok = ok and rep.ax_pass and rep.n_affine % q ** rep.mu == 0
+            ok = ok and rep.n_exceptional == 2 * q**3 - 1
+            ok = ok and rep.n_affine == blowup_fiber_count(inst)
+    elapsed = time.monotonic() - t0
+    _report(capsys, "criterion 4b: #X = 1 mod q for q in 13..101 (35 instances)", ok, elapsed,
+            budget)
     assert ok
     assert elapsed < budget
 
@@ -382,7 +405,17 @@ def test_criterion_9_determinism(capsys, tmp_path):
         code_b = main(args + ["--format", "json", "--out", str(b)])
         ok = ok and code_a == code_b == EXIT_PASS
         ok = ok and a.read_bytes() == b.read_bytes()
-        json.loads(a.read_text())  # must be valid JSON
+        payload = json.loads(a.read_text())  # must be valid JSON
+        # what the counts evaluated is opt-in; --stats adds it and nothing else
+        reports = payload.get("reports", [payload])
+        ok = ok and all("stats" not in rep for rep in reports)
+        if args[0] in ("verify", "count"):
+            c = tmp_path / f"{i}c.json"
+            ok = ok and main(args + ["--stats", "--format", "json", "--out", str(c)]) == EXIT_PASS
+            with_stats = json.loads(c.read_text())
+            for rep in with_stats.get("reports", [with_stats]):
+                ok = ok and set(rep.pop("stats")) == {"rules", "points", "point_terms"}
+            ok = ok and with_stats == payload
     capsys.readouterr()
     elapsed = time.monotonic() - t0
     _report(capsys, "criterion 9: byte-identical JSON reruns", ok, elapsed, budget)

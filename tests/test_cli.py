@@ -413,6 +413,31 @@ def test_timing_excluded_by_default(capsys):
     assert "timing" in payload["reports"][0]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--field", "GF(5)", "--fan", "projective(2)", "--poly", "x0^2 + x1*x2"],
+        ["verify", "esnault", "--field", "GF(3)", "--batch", "2", "--seed", "9"],
+        ["verify", "ax", "--field", "GF(4)", "--batch", "2", "--seed", "7"],
+    ],
+    ids=["count", "verify-esnault", "verify-ax"],
+)
+def test_stats_flag(capsys, argv):
+    code, plain, _ = run_json(capsys, *argv)
+    code_stats, payload, _ = run_json(capsys, *argv, "--stats")
+    assert code == code_stats == EXIT_PASS
+    records = [payload.pop("stats")] if "stats" in payload else [
+        rep.pop("stats") for rep in payload["reports"]
+    ]
+    assert payload == plain  # --stats adds the records and changes nothing else
+    for record in records:
+        assert set(record) == {"rules", "points", "point_terms"}
+        assert record["rules"] and record["point_terms"] >= record["points"] > 0
+    _, table, _ = run(capsys, *argv, "--stats")
+    assert "rules" in table and "point_terms" in table
+    assert "rules" not in run(capsys, *argv)[1]
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "toricount", "field-info", "--field", "GF(2)"],

@@ -1,3 +1,6 @@
+import dataclasses
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,10 +44,20 @@ from toricount.poly import (
     standard_grading,
     total_generator_degree,
 )
-from toricount.quintic import random_instance, strict_transform
+from toricount.quintic import (
+    QuinticInstance,
+    poly_from_coefficients,
+    random_instance,
+    strict_transform,
+)
 from toricount.rng import SplitMix64
 
-from oracles import naive_affine_count, naive_toric_orbits, union_subspace_count
+from oracles import (
+    blowup_fiber_count,
+    naive_affine_count,
+    naive_toric_orbits,
+    union_subspace_count,
+)
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -125,10 +138,150 @@ def test_degenerate_inputs():
 
 
 def test_work_cap_enforced():
+    # every variable of the zero polynomial is absent, so its count evaluates nothing
+    assert affine_count(MultiPoly.zero(30, F5), F5, work_cap=0) == 5**30
+    # x0^2 + ... + x29^2 leaves the kernel a box of 5^29 points (x0 = 1) and smaller ones
+    squares = MultiPoly.from_dict(
+        30, F5, {tuple(2 * (i == j) for i in range(30)): 1 for j in range(30)}
+    )
     with pytest.raises(CapExceeded):
-        affine_count(MultiPoly.zero(30, F5), F5, work_cap=10**6)
+        affine_count(squares, F5, work_cap=10**6)
     with pytest.raises(CapExceeded, match=f"work cap {DEFAULT_WORK_CAP}$"):
-        affine_count(MultiPoly.zero(30, F5), F5)
+        affine_count(squares, F5)
+
+
+def kernel_count(P, spec):
+    """#Z(P) from the zero-mask kernel on the whole grid, with no planner."""
+    axes = [np.arange(spec.q)] * P.nvars
+    return sum(int(np.count_nonzero(mask)) for _, mask in _zero_masks(P, spec, axes))
+
+
+def dense_instance(spec, seed):
+    """An instance whose 35 coefficients are all nonzero."""
+    rng = SplitMix64(seed)
+    p3, q3, q4 = (
+        poly_from_coefficients(
+            spec, d, [1 + rng.next_below(spec.q - 1) for _ in range(comb(d + 2, 2))]
+        )
+        for d in (3, 3, 4)
+    )
+    return QuinticInstance(field=spec, p3=p3, q3=q3, q4=q4)
+
+
+@pytest.mark.parametrize(
+    "p,f", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1)],
+    ids=lambda v: str(v),
+)
+def test_planned_count_matches_kernel_and_fiber_oracle(p, f):
+    spec = make_field(p, f)
+    zero = MultiPoly.zero(3, spec)
+    instances = [dense_instance(spec, 7 * p + f)]
+    for part in ("p3", "q3", "q4"):  # sparse: each of P3, Q3, Q4 is zero in turn
+        instances.append(dataclasses.replace(random_instance(spec, 100 + p + f), **{part: zero}))
+    for inst in instances:
+        P = strict_transform(inst)
+        planned = affine_count(P, spec)
+        assert planned == kernel_count(P, spec) == blowup_fiber_count(inst), inst.to_dict()
+        if spec.q <= 3:
+            assert planned == naive_affine_count(P, spec)
+
+
+@st.composite
+def shaped_poly(draw):
+    """A polynomial drawn so that each planner rule has inputs it fits.
+
+    Its grid is above `count._PLAN_MIN_POINTS`, the smallest box the planner
+    expands, so that the rules apply at the root.
+    """
+    spec, nvars = draw(st.sampled_from([(F2, 15), (F3, 9), (F4, 8), (F5, 7), (F9, 5)]))
+
+    def terms(n, max_exp=2):
+        return {
+            tuple(draw(st.integers(0, max_exp)) for _ in range(n)):
+            spec.from_index(draw(st.integers(1, spec.q - 1)))
+            for _ in range(draw(st.integers(0, 3)))
+        }
+
+    shape = draw(st.sampled_from(["linear", "homogeneous", "absent", "any"]))
+    if shape == "linear":  # A + x_j*B with x_j in neither
+        j = draw(st.integers(0, nvars - 1))
+        A, B = terms(nvars - 1), terms(nvars - 1)
+        mapping = {e[:j] + (0,) + e[j:]: c for e, c in A.items()}
+        for e, c in B.items():
+            mapping[e[:j] + (1,) + e[j:]] = c
+    elif shape == "homogeneous":  # x0 makes up every term's degree to the largest
+        raw = terms(nvars)
+        top = max((sum(e) for e in raw), default=0)
+        mapping = {(top - sum(e[1:]),) + e[1:]: c for e, c in raw.items()}
+    elif shape == "absent":  # the last variable occurs nowhere
+        mapping = {e + (0,): c for e, c in terms(nvars - 1).items()}
+    else:
+        mapping = terms(nvars, 3)
+    return MultiPoly.from_dict(nvars, spec, mapping)
+
+
+@settings(deadline=None)
+@given(shaped_poly())
+def test_planner_matches_kernel(P):
+    # grids this large are slow for the naive oracle; the unplanned kernel stands in,
+    # which test_affine_count_matches_oracle checks against it on small grids
+    stats = {"rules": {}, "points": 0, "point_terms": 0}
+    assert affine_count(P, P.domain, stats=stats) == kernel_count(P, P.domain)
+    # a rule is taken only when it shrinks the work below the full grid
+    assert stats["points"] <= P.domain.q ** P.nvars
+
+
+SQUARES = " + ".join(f"x{i}^2" for i in range(1, 9))
+
+
+@pytest.mark.parametrize(
+    "text,nvars,p,rule",
+    [
+        ("x0^2 - 2", 9, 3, "absent"),
+        (f"x0*x1 + {SQUARES} + 1", 9, 3, "linear"),
+        (f"x0^2 + {SQUARES}", 9, 3, "chart"),
+        # weights (2, 1): a chart on x1 only, as t -> t^2 does not cover F_137^*
+        ("x0^2 - x1^4", 2, 137, "chart"),
+        # weights (3, 2): no chart at all, as 3 and 2 divide 138
+        ("x0^2 - x1^3", 2, 139, "kernel"),
+        (f"x0^2 + {SQUARES} + 1", 9, 3, "kernel"),
+    ],
+)
+def test_each_rule_fires(text, nvars, p, rule):
+    # every grid is above count._PLAN_MIN_POINTS, so the planner works on the whole of it
+    spec = make_field(p)
+    P = parse(text, nvars, spec)
+    stats = {"rules": {}, "points": 0, "point_terms": 0}
+    assert affine_count(P, spec, stats=stats) == naive_affine_count(P, spec)
+    assert stats["rules"].get(rule, 0) > 0, stats
+
+
+def test_small_boxes_go_to_the_kernel_whole():
+    P = parse(f"x0^2 + {SQUARES}", 9, F2)  # 2^9 points
+    stats = {"rules": {}, "points": 0, "point_terms": 0}
+    assert affine_count(P, F2, stats=stats) == naive_affine_count(P, F2)
+    assert stats["rules"] == {"kernel": 1} and stats["points"] == 2**9
+
+
+def test_work_budget_covers_plan_and_strata():
+    spec = make_field(2, 5)  # GF(32): the whole grid, 32^6, is above the default cap
+    inst = random_instance(spec, 1)
+    P = strict_transform(inst)
+    rep = check_esnault(inst, stats=True)
+    assert rep.passed and rep.n_exceptional == 2 * 32**3 - 1
+    total = rep.stats["points"]
+    assert 2 * 32**3 < total < DEFAULT_WORK_CAP < 32**6
+    with pytest.raises(CapExceeded, match=f"^{total} evaluations exceed the work cap {total - 1}$"):
+        check_esnault(inst, work_cap=total - 1)
+    assert check_esnault(inst, work_cap=total).n_toric == rep.n_toric
+    # the strata are charged together, and before the affine plan is evaluated
+    with pytest.raises(CapExceeded):
+        exceptional_on_hypersurface(P, BLOWUP, spec, work_cap=2 * 32**3 - 1)
+    assert exceptional_on_hypersurface(P, BLOWUP, spec, work_cap=2 * 32**3) == rep.n_exceptional
+    plan = total - 2 * 32**3
+    with pytest.raises(CapExceeded):
+        affine_count(P, spec, work_cap=plan - 1)
+    assert affine_count(P, spec, work_cap=plan) == rep.n_affine
 
 
 def test_field_mismatch_rejected():
@@ -365,8 +518,20 @@ def test_blowup_space_cached():
 def test_report_dict_and_csv():
     rep = check_esnault(random_instance(F3, 5))
     d = rep.to_dict()
-    assert d["pass"] is True and "timing" not in d
+    assert d["pass"] is True and "timing" not in d and "stats" not in d
     assert rep.to_dict(include_timing=True)["timing"]["elapsed_s"] >= 0
     row = rep.to_csv_row()
     assert len(row) == len(CongruenceReport.CSV_FIELDS)
-    assert "kind" in CongruenceReport.CSV_FIELDS
+    assert CongruenceReport.CSV_FIELDS == (
+        "kind", "q", "p", "f", "n_affine", "n_exceptional", "n_toric",
+        "modulus", "residue", "pass", "mu", "mu_classical", "ax_pass",
+    )
+    assert list(d) == [
+        "kind", "q", "p", "f", "n_affine", "n_exceptional", "n_toric",
+        "modulus", "residue", "pass", "mu", "ax_pass",
+    ]
+    # reports are slotted: a retained one carries no per-instance __dict__
+    assert not hasattr(rep, "__dict__")
+    with_stats = check_esnault(random_instance(F3, 5), stats=True)
+    assert set(with_stats.to_dict()["stats"]) == {"rules", "points", "point_terms"}
+    assert with_stats.to_csv_row() == row
