@@ -22,6 +22,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 
 from . import chow, count, quintic
 from .errors import InvalidParams, PolyParseError, ToricountError
@@ -78,12 +79,20 @@ def _kv_table(pairs) -> str:
     return "\n".join(f"{k.ljust(width)}  {v}" for k, v in pairs)
 
 
-def _stats_pairs(stats: dict) -> list[tuple[str, str]]:
-    rules = ", ".join(f"{name}={n}" for name, n in stats["rules"].items())
+def _stats(args: argparse.Namespace) -> dict | None:
+    """A record for one check to fill under --stats."""
+    return {} if args.stats else None
+
+
+def _stats_pairs(records: list[dict]) -> list[tuple[str, str]]:
+    """Table rows for --stats: the rules fired and the points evaluated, summed over records."""
+    rules: Counter = Counter()
+    for record in records:
+        rules.update(record["rules"])
     return [
-        ("rules", rules or "none"),
-        ("points", str(stats["points"])),
-        ("point_terms", str(stats["point_terms"])),
+        ("rules", ", ".join(f"{name}={n}" for name, n in sorted(rules.items())) or "none"),
+        ("points", str(sum(record["points"] for record in records))),
+        ("point_terms", str(sum(record["point_terms"] for record in records))),
     ]
 
 
@@ -183,7 +192,7 @@ def cmd_count(args: argparse.Namespace) -> int:
     G = space.grading
     if P.nvars != G.rho:
         raise ToricountError(f"polynomial has {P.nvars} variables, fan has {G.rho} rays")
-    stats = count._new_stats() if args.stats else None
+    stats = _stats(args)
     n_aff, n_exc, n_tor = count._toric_counts(P, space, spec, args.work_cap, stats)
     mu = ax_exponent(G, degree_bounds(P, G))
     payload = {
@@ -217,7 +226,7 @@ def cmd_count(args: argparse.Namespace) -> int:
     ]
     if stats is not None:
         payload["stats"] = stats
-        pairs += _stats_pairs(stats)
+        pairs += _stats_pairs([stats])
     _render(args, payload, _kv_table(pairs))
     return EXIT_PASS
 
@@ -237,7 +246,7 @@ def _verify_reports(args: argparse.Namespace) -> tuple[list[count.CongruenceRepo
                 raise ToricountError("esnault needs --instance or --batch N --seed S")
             instances = quintic.random_batch(spec, _require_seed(args), args.batch, args.policy)
         for inst in instances:
-            reports.append(count.check_esnault(inst, work_cap=args.work_cap, stats=args.stats))
+            reports.append(count.check_esnault(inst, work_cap=args.work_cap, stats=_stats(args)))
             sources.append(inst.to_dict())
         return reports, sources
 
@@ -245,7 +254,7 @@ def _verify_reports(args: argparse.Namespace) -> tuple[list[count.CongruenceRepo
     if args.poly is not None:
         space = _resolve_space(args.fan)
         P = parse(args.poly, space.grading.rho, spec)
-        reports.append(check(P, space.grading, spec, work_cap=args.work_cap, stats=args.stats))
+        reports.append(check(P, space.grading, spec, work_cap=args.work_cap, stats=_stats(args)))
         sources.append({"poly": print_poly(P), "fan": space.name, "field": spec.name})
         return reports, sources
 
@@ -256,7 +265,7 @@ def _verify_reports(args: argparse.Namespace) -> tuple[list[count.CongruenceRepo
     if space.name == "blowup_p4_line" and args.degree is None:
         for inst in quintic.random_batch(spec, seed, args.batch, args.policy):
             P = quintic.strict_transform(inst)
-            reports.append(check(P, space.grading, spec, work_cap=args.work_cap, stats=args.stats))
+            reports.append(check(P, space.grading, spec, work_cap=args.work_cap, stats=_stats(args)))
             sources.append(inst.to_dict())
         return reports, sources
     if args.degree is None:
@@ -264,7 +273,7 @@ def _verify_reports(args: argparse.Namespace) -> tuple[list[count.CongruenceRepo
     rng = SplitMix64(seed)
     for k in range(args.batch):
         P = random_homogeneous(space.grading, args.degree, spec, SplitMix64(rng.next_tagged(k)))
-        reports.append(check(P, space.grading, spec, work_cap=args.work_cap, stats=args.stats))
+        reports.append(check(P, space.grading, spec, work_cap=args.work_cap, stats=_stats(args)))
         sources.append({"poly": print_poly(P), "fan": space.name, "field": spec.name})
     return reports, sources
 
@@ -297,10 +306,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if reports and reports[0].mu is not None:
         lines.append(f"mu        {reports[0].mu}")
     if args.stats:
-        total = count._new_stats()
-        for rep in reports:
-            count._add_stats(total, rep.stats["rules"], rep.stats["points"], rep.stats["point_terms"])
-        lines += [f"{k.ljust(8)}  {v}" for k, v in _stats_pairs(total)]
+        lines += [f"{k.ljust(8)}  {v}" for k, v in _stats_pairs([rep.stats for rep in reports])]
     table = "\n".join(lines)
     csv_rows = [rep.to_csv_row() for rep in reports]
     _render(args, payload, table, (list(count.CongruenceReport.CSV_FIELDS), csv_rows))

@@ -40,8 +40,9 @@ Congruence checks returned as :class:`CongruenceReport`:
 * ``check_ax``       - q^mu | N with mu from the grading.
 * ``check_esnault``  - quotient count of the blown-up quintic ≡ 1 (mod q).
 
-With ``stats=True`` a report carries what its counts evaluated: the rules
-that fired, the kernel boxes, their points and points x terms.
+A count or check given a ``stats`` dict fills it with what it evaluated: the
+rules that fired, the kernel boxes, their points and points x terms; a
+check's report carries that dict.
 
 The degree hypotheses consume componentwise degree *bounds*, so inhomogeneous
 inputs (e.g. y^2 - P(x) under a weighted grading) are accepted; exact
@@ -303,19 +304,15 @@ def _on_strata(axes: list[np.ndarray], strata) -> np.ndarray:
 Box = tuple[int, frozenset]
 
 
-def _new_stats() -> dict:
-    """What counts evaluated: planner rules fired (`kernel`: boxes left to the
-    kernel), and the points and points x terms of every box evaluated."""
-    return {"rules": {}, "points": 0, "point_terms": 0}
-
-
-def _add_stats(stats: dict, rules: dict, points: int = 0, point_terms: int = 0) -> None:
-    merged = dict(stats["rules"])
-    for name, n in rules.items():
-        merged[name] = merged.get(name, 0) + n
-    stats["rules"] = dict(sorted(merged.items()))
-    stats["points"] += points
-    stats["point_terms"] += point_terms
+def _tally(stats: dict, rules: Sequence[str] = (), points: int = 0, point_terms: int = 0) -> None:
+    """Add to `stats` the rules fired (`kernel`: a box left to the kernel) and the
+    points and points x terms evaluated."""
+    counts = stats.get("rules", {})
+    for rule in rules:
+        counts[rule] = counts.get(rule, 0) + 1
+    stats["rules"] = dict(sorted(counts.items()))
+    stats["points"] = stats.get("points", 0) + points
+    stats["point_terms"] = stats.get("point_terms", 0) + point_terms
 
 
 def _restrict(P: MultiPoly, keep: Sequence[int], terms) -> MultiPoly:
@@ -371,32 +368,17 @@ def _homogeneity_lattice(system, m: int) -> list[list[int]]:
     return lattice
 
 
-def _project(lattice: list[list[int]], keep: Sequence[int]) -> list[list[int]]:
-    out = []
-    for c in lattice:
-        v = [c[i] for i in keep]
-        if any(v) and v not in out:
-            out.append(v)
-    return out
+Child = tuple[int, Box]
 
 
-Lattice = list[list[int]] | None
-Child = tuple[int, Box, Lattice]
-
-
-def _expand(box: Box, lattice: Lattice, q: int) -> tuple[str, list[Child]] | None:
-    """The first rule that fits the box, as (name, [(coefficient, box, lattice)]), or None.
-
-    `lattice`, when known, generates integer weightings that make every
-    polynomial of the box homogeneous; a chart passes such weightings to its
-    children, and the other rules leave them to be worked out when needed.
-    """
+def _expand(box: Box, q: int) -> tuple[str, list[Child]] | None:
+    """The first rule that fits the box, as (name, [(coefficient, box)]), or None."""
     m, system = box
     degrees = [(P, [max(col) for col in zip(*(e for e, _ in P.terms))]) for P in system]
     used = [i for i in range(m) if any(d[i] for _, d in degrees)]
     if len(used) < m:
         child = (len(used), frozenset(_restrict(P, used, P.terms) for P in system))
-        return "absent", [(q ** (m - len(used)), child, None)]
+        return "absent", [(q ** (m - len(used)), child)]
     linear = []
     for j in range(m):
         holders = [(P, d[j]) for P, d in degrees if d[j]]
@@ -412,25 +394,20 @@ def _expand(box: Box, lattice: Lattice, q: int) -> tuple[str, list[Child]] | Non
         B = _restrict(P, keep, [t for t in P.terms if t[0][j]])
         C = [_restrict(R, keep, R.terms) for R in system if R is not P]
         parts = [(1, C), (-1, C + [B]), (q, C + [A, B])]
-        return "linear", [(k, b, None) for k, polys in parts if (b := _box(m - 1, polys))]
-    if lattice is None:
-        lattice = _homogeneity_lattice(system, m)
+        return "linear", [(k, b) for k, polys in parts if (b := _box(m - 1, polys))]
+    lattice = _homogeneity_lattice(system, m)
     for j in range(m if lattice else 0):
         if math.gcd(*(c[j] for c in lattice)) == 1:
             keep = [i for i in range(m) if i != j]
             zero = [_restrict(P, keep, [t for t in P.terms if not t[0][j]]) for P in system]
             one = [_at_one(P, j) for P in system]
-            fixed = _project(_orthogonal(lattice, [c[j] for c in lattice]), keep)
-            parts = [(1, zero, _project(lattice, keep)), (q - 1, one, fixed)]
-            return "chart", [(k, b, sub) for k, polys, sub in parts if (b := _box(m - 1, polys))]
+            parts = [(1, zero), (q - 1, one)]
+            return "chart", [(k, b) for k, polys in parts if (b := _box(m - 1, polys))]
     return None
 
 
-Plan = tuple[dict[Box, int], dict[str, int]]
-
-
-def _plan(P: MultiPoly, q: int) -> Plan:
-    """#Z(P) over F_q^n as {box: coefficient}, and how often each rule fired.
+def _plan(P: MultiPoly, q: int, stats: dict | None = None) -> dict[Box, int]:
+    """#Z(P) over F_q^n as {box: coefficient}; `stats`, when given, gains the rules fired.
 
     Each box is given the cheaper of the kernel on its q^m points and the
     boxes of its first fitting rule; boxes of at most _PLAN_MIN_POINTS points
@@ -438,54 +415,44 @@ def _plan(P: MultiPoly, q: int) -> Plan:
     """
     root = _box(P.nvars, [P])
     if root is None:
-        return {}, {}
+        return {}
     chosen: dict[Box, tuple[str | None, list[Child]]] = {}
-    _cost(root, None, q, chosen, {})
-    rules: dict[str, int] = {}
-    seen, stack = {root}, [root]
-    while stack:
-        rule, children = chosen[stack.pop()]
-        if rule is not None:
-            rules[rule] = rules.get(rule, 0) + 1
-        for _, child, _ in children:
-            if child not in seen:
-                seen.add(child)
-                stack.append(child)
-    boxes = _combination(root, chosen, {})
-    rules["kernel"] = sum(1 for _, system in boxes if system)
-    return boxes, rules
+    _cost(root, q, chosen, {})
+    return _combination(root, chosen, {}, stats)
 
 
-def _cost(box: Box, lattice: Lattice, q: int, chosen: dict, costs: dict) -> int:
+def _cost(box: Box, q: int, chosen: dict, costs: dict) -> int:
     """Points the kernel evaluates for `box`; records the rule chosen for it in `chosen`."""
     if box not in costs:
         m, system = box
         costs[box] = q ** m if system else 0
         chosen[box] = (None, [])
         expand = system and costs[box] > _PLAN_MIN_POINTS and len(costs) <= _PLAN_NODE_CAP
-        rule = _expand(box, lattice, q) if expand else None
+        rule = _expand(box, q) if expand else None
         if rule is not None:
-            expanded = sum(_cost(child, sub, q, chosen, costs) for _, child, sub in rule[1])
+            expanded = sum(_cost(child, q, chosen, costs) for _, child in rule[1])
             if expanded < costs[box]:
                 costs[box], chosen[box] = expanded, rule
     return costs[box]
 
 
-def _combination(box: Box, chosen: dict, combos: dict) -> dict[Box, int]:
+def _combination(box: Box, chosen: dict, combos: dict, stats: dict | None) -> dict[Box, int]:
     """#Z(box) as {kernel box: coefficient}, following the rules chosen."""
     if box not in combos:
         rule, children = chosen[box]
+        if rule is not None and stats is not None:
+            _tally(stats, [rule])
         out = {box: 1} if rule is None else {}
-        for k, child, _ in children:
-            for leaf, c in _combination(child, chosen, combos).items():
+        for k, child in children:
+            for leaf, c in _combination(child, chosen, combos, stats).items():
                 out[leaf] = out.get(leaf, 0) + k * c
         combos[box] = {leaf: c for leaf, c in out.items() if c}
     return combos[box]
 
 
-def _plan_points(plan: Plan, q: int) -> int:
+def _plan_points(plan: dict[Box, int], q: int) -> int:
     """Points the kernel evaluates for a plan."""
-    return sum(q ** m for m, system in plan[0] if system)
+    return sum(q ** m for m, system in plan if system)
 
 
 def _charge(points: int, work_cap: int) -> None:
@@ -493,12 +460,11 @@ def _charge(points: int, work_cap: int) -> None:
         raise CapExceeded(f"{points} evaluations exceed the work cap {work_cap}")
 
 
-def _run_plan(plan: Plan, spec: FieldSpec, block_vars: int | None, stats: dict | None) -> int:
-    boxes, rules = plan
+def _run_plan(plan: dict[Box, int], spec: FieldSpec, block_vars: int | None, stats: dict | None) -> int:
     if stats is not None:
-        _add_stats(stats, rules)
+        _tally(stats)
     total = 0
-    for (m, system), coeff in boxes.items():
+    for (m, system), coeff in plan.items():
         if not system:
             total += coeff * spec.q ** m
             continue
@@ -507,7 +473,8 @@ def _run_plan(plan: Plan, spec: FieldSpec, block_vars: int | None, stats: dict |
         n = sum(int(np.count_nonzero(mask)) for _, mask in _zero_masks(system, spec, axes, bv))
         total += coeff * n
         if stats is not None:
-            _add_stats(stats, {}, spec.q ** m, spec.q ** m * sum(len(P.terms) for P in system))
+            points = spec.q ** m
+            _tally(stats, ["kernel"], points, points * sum(len(P.terms) for P in system))
     return total
 
 
@@ -527,7 +494,7 @@ def affine_count(
     _check_poly_field(P, spec)
     if block_vars is not None:
         _choose_block_vars([spec.q] * P.nvars, block_vars)  # validates the range
-    plan = _plan(P, spec.q)
+    plan = _plan(P, spec.q, stats)
     _charge(_plan_points(plan, spec.q), work_cap)
     return _run_plan(plan, spec, block_vars, stats)
 
@@ -543,7 +510,6 @@ def exceptional_on_hypersurface(
     spec: FieldSpec,
     *,
     work_cap: int = DEFAULT_WORK_CAP,
-    stats: dict | None = None,
 ) -> int:
     """#{x in Z(F_q) : P(x) = 0}, one coordinate subspace per stratum.
 
@@ -554,7 +520,7 @@ def exceptional_on_hypersurface(
     space = as_space(space_like)
     _check_space_poly(P, space, spec)
     _charge(_strata_points(space, spec.q), work_cap)
-    return _exceptional(P, space, spec, stats)
+    return _exceptional(P, space, spec, None)
 
 
 def _check_space_poly(P: MultiPoly, space: Space, spec: FieldSpec) -> None:
@@ -573,7 +539,7 @@ def _exceptional(P: MultiPoly, space: Space, spec: FieldSpec, stats: dict | None
             total += int(np.count_nonzero(mask & ~_on_strata(block, strata[:n])))
         if stats is not None:
             points = q ** (rho - len(stratum))
-            _add_stats(stats, {}, points, points * len(P.terms))
+            _tally(stats, points=points, point_terms=points * len(P.terms))
     return total
 
 
@@ -599,20 +565,16 @@ def _toric_counts(
     """(N_affine, N_exceptional, N_toric) with N_toric = (N_affine - N_exceptional) / (q-1)^r.
 
     The exceptional strata and the plan of the affine count are charged to
-    one work cap before anything is evaluated: the affine count gets what the
-    strata leave. Raises NonIntegralQuotient unless the division is exact.
+    one work cap before anything is evaluated. Raises NonIntegralQuotient
+    unless the division is exact.
     """
     G = space.grading
     _require_free_effective(G)
     _require_homogeneous_or_zero(P, G)
     _check_space_poly(P, space, spec)
-    strata = _strata_points(space, spec.q)
-    _charge(strata, work_cap)
-    try:
-        n_aff = affine_count(P, spec, work_cap=work_cap - strata, stats=stats)
-    except CapExceeded:  # word the error with the whole charge; only this path plans twice
-        _charge(_plan_points(_plan(P, spec.q), spec.q) + strata, work_cap)
-        raise
+    plan = _plan(P, spec.q, stats)
+    _charge(_plan_points(plan, spec.q) + _strata_points(space, spec.q), work_cap)
+    n_aff = _run_plan(plan, spec, None, stats)
     n_exc = _exceptional(P, space, spec, stats)
     denom = (spec.q - 1) ** G.r
     diff = n_aff - n_exc
@@ -687,7 +649,7 @@ def check_cw(
     spec: FieldSpec,
     *,
     work_cap: int = DEFAULT_WORK_CAP,
-    stats: bool = False,
+    stats: dict | None = None,
 ) -> CongruenceReport:
     """N ≡ 0 (mod p) whenever some degree bound d_j is below the weight sum a_j."""
     start = time.monotonic()
@@ -697,8 +659,7 @@ def check_cw(
     a = total_generator_degree(G)
     if not any(d[j] < a[j] for j in range(G.r)):
         raise HypothesisNotMet(f"degree bounds {d} not below weight sums {a} in any component")
-    record = _new_stats() if stats else None
-    n = affine_count(P, spec, work_cap=work_cap, stats=record)
+    n = affine_count(P, spec, work_cap=work_cap, stats=stats)
     residue = n % spec.p
     return CongruenceReport(
         kind="CW",
@@ -710,12 +671,12 @@ def check_cw(
         residue=residue,
         passed=residue == 0,
         elapsed=time.monotonic() - start,
-        stats=record,
+        stats=stats,
     )
 
 
 def check_cw_projective(
-    P: MultiPoly, spec: FieldSpec, *, work_cap: int = DEFAULT_WORK_CAP, stats: bool = False
+    P: MultiPoly, spec: FieldSpec, *, work_cap: int = DEFAULT_WORK_CAP
 ) -> CongruenceReport:
     """#X(F_q) = (N - 1)/(q - 1) ≡ 1 (mod p) for degree 1 <= d <= n hypersurfaces in P^n."""
     start = time.monotonic()
@@ -723,8 +684,7 @@ def check_cw_projective(
     d = multidegree(P, standard_grading(P.nvars))[0]  # strict homogeneity: orbits are needed
     if not 1 <= d <= n:
         raise HypothesisNotMet(f"degree {d} is outside [1, {n}], the range for P^{n}")
-    record = _new_stats() if stats else None
-    n_aff, _, n_proj = _toric_counts(P, builtin(f"projective({n})"), spec, work_cap, record)
+    n_aff, _, n_proj = _toric_counts(P, builtin(f"projective({n})"), spec, work_cap)
     residue = n_proj % spec.p
     return CongruenceReport(
         kind="CW-projective",
@@ -737,7 +697,6 @@ def check_cw_projective(
         residue=residue,
         passed=residue == 1,
         elapsed=time.monotonic() - start,
-        stats=record,
     )
 
 
@@ -747,7 +706,7 @@ def check_ax(
     spec: FieldSpec,
     *,
     work_cap: int = DEFAULT_WORK_CAP,
-    stats: bool = False,
+    stats: dict | None = None,
 ) -> CongruenceReport:
     """q^mu | N with mu computed from the grading and the degree bounds."""
     start = time.monotonic()
@@ -756,8 +715,7 @@ def check_ax(
     d = degree_bounds(P, G)
     mu = ax_exponent(G, d)
     modulus = spec.q ** mu
-    record = _new_stats() if stats else None
-    n = affine_count(P, spec, work_cap=work_cap, stats=record)
+    n = affine_count(P, spec, work_cap=work_cap, stats=stats)
     residue = n % modulus
     mu_classical = None
     if G.r == 1 and all(row == (1,) for row in G.weights):
@@ -774,7 +732,7 @@ def check_ax(
         mu=mu,
         mu_classical=mu_classical,
         elapsed=time.monotonic() - start,
-        stats=record,
+        stats=stats,
     )
 
 
@@ -793,7 +751,7 @@ def check_esnault(
     spec: FieldSpec | None = None,
     *,
     work_cap: int = DEFAULT_WORK_CAP,
-    stats: bool = False,
+    stats: dict | None = None,
 ) -> CongruenceReport:
     """Quotient count of the blown-up quintic ≡ 1 (mod q); records the q | N verdict."""
     start = time.monotonic()
@@ -807,8 +765,7 @@ def check_esnault(
     d = multidegree(P, G)
     mu = ax_exponent(G, d)
     q = spec.q
-    record = _new_stats() if stats else None
-    n_aff, n_exc, n_toric = _toric_counts(P, space, spec, work_cap, record)
+    n_aff, n_exc, n_toric = _toric_counts(P, space, spec, work_cap, stats)
     residue = n_toric % q
     return CongruenceReport(
         kind="Esnault",
@@ -824,5 +781,5 @@ def check_esnault(
         mu=mu,
         ax_pass=n_aff % q ** mu == 0,
         elapsed=time.monotonic() - start,
-        stats=record,
+        stats=stats,
     )

@@ -130,15 +130,21 @@ def test_count_evaluates_the_grid_once(capsys, monkeypatch, tmp_path):
     path = tmp_path / "inst.json"
     path.write_text(inst.to_json())
     calls = []
-    real = count_mod.affine_count
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counted(name):
+        real = getattr(count_mod, name)
 
-    monkeypatch.setattr(count_mod, "affine_count", counted)
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    # the affine count is planned once and its plan evaluated once
+    for name in ("_plan", "_run_plan"):
+        monkeypatch.setattr(count_mod, name, counted(name))
     code, payload, _ = run_json(capsys, "count", "--field", "GF(3)", "--instance", str(path))
-    assert code == EXIT_PASS and len(calls) == 1
+    assert code == EXIT_PASS and calls == ["_plan", "_run_plan"]
     assert payload["n_toric"] * 4 == payload["n_affine"] - payload["n_exceptional"]
 
 

@@ -225,7 +225,7 @@ def shaped_poly(draw):
 def test_planner_matches_kernel(P):
     # grids this large are slow for the naive oracle; the unplanned kernel stands in,
     # which test_affine_count_matches_oracle checks against it on small grids
-    stats = {"rules": {}, "points": 0, "point_terms": 0}
+    stats = {}
     assert affine_count(P, P.domain, stats=stats) == kernel_count(P, P.domain)
     # a rule is taken only when it shrinks the work below the full grid
     assert stats["points"] <= P.domain.q ** P.nvars
@@ -251,14 +251,14 @@ def test_each_rule_fires(text, nvars, p, rule):
     # every grid is above count._PLAN_MIN_POINTS, so the planner works on the whole of it
     spec = make_field(p)
     P = parse(text, nvars, spec)
-    stats = {"rules": {}, "points": 0, "point_terms": 0}
+    stats = {}
     assert affine_count(P, spec, stats=stats) == naive_affine_count(P, spec)
     assert stats["rules"].get(rule, 0) > 0, stats
 
 
 def test_small_boxes_go_to_the_kernel_whole():
     P = parse(f"x0^2 + {SQUARES}", 9, F2)  # 2^9 points
-    stats = {"rules": {}, "points": 0, "point_terms": 0}
+    stats = {}
     assert affine_count(P, F2, stats=stats) == naive_affine_count(P, F2)
     assert stats["rules"] == {"kernel": 1} and stats["points"] == 2**9
 
@@ -267,7 +267,7 @@ def test_work_budget_covers_plan_and_strata():
     spec = make_field(2, 5)  # GF(32): the whole grid, 32^6, is above the default cap
     inst = random_instance(spec, 1)
     P = strict_transform(inst)
-    rep = check_esnault(inst, stats=True)
+    rep = check_esnault(inst, stats={})
     assert rep.passed and rep.n_exceptional == 2 * 32**3 - 1
     total = rep.stats["points"]
     assert 2 * 32**3 < total < DEFAULT_WORK_CAP < 32**6
@@ -532,6 +532,6 @@ def test_report_dict_and_csv():
     ]
     # reports are slotted: a retained one carries no per-instance __dict__
     assert not hasattr(rep, "__dict__")
-    with_stats = check_esnault(random_instance(F3, 5), stats=True)
+    with_stats = check_esnault(random_instance(F3, 5), stats={})
     assert set(with_stats.to_dict()["stats"]) == {"rules", "points", "point_terms"}
     assert with_stats.to_csv_row() == row
