@@ -195,11 +195,13 @@ def cmd_count(args: argparse.Namespace) -> int:
     stats = _stats(args)
     n_aff, n_exc, n_tor = count._toric_counts(P, space, spec, args.work_cap, stats)
     mu = ax_exponent(G, degree_bounds(P, G))
+    degree = list(multidegree(P, G))
+    text = print_poly(P)
     payload = {
         "field": spec.name,
         "fan": space.name,
-        "poly": print_poly(P),
-        "multidegree": list(multidegree(P, G)),
+        "poly": text,
+        "multidegree": degree,
         "n_affine": n_aff,
         "n_exceptional": n_exc,
         "n_toric": n_tor,
@@ -214,8 +216,8 @@ def cmd_count(args: argparse.Namespace) -> int:
     pairs = [
         ("field", spec.name),
         ("fan", space.name),
-        ("poly", print_poly(P)),
-        ("multidegree", str(list(multidegree(P, G)))),
+        ("poly", text),
+        ("multidegree", str(degree)),
         ("N_affine", str(n_aff)),
         ("N_exceptional", str(n_exc)),
         ("N_toric", str(n_tor)),

@@ -5,8 +5,7 @@ polynomials on a box of F_q^m in odometer order (x0 most significant, field
 elements in enumeration order) and yields the mask of their common zeros block
 by block, the same way for prime fields, extension fields and q > 256: terms
 are sums of discrete logs, and their values are added as F_p digits. Results
-are independent of the block partitioning, which `block_vars` exposes for
-testing.
+are independent of the block partitioning.
 
 A small planner runs in front of the kernel. It rewrites #Z(P) over F_q^n as
 an integer combination of common-zero counts #Z(S) of systems S on smaller
@@ -26,12 +25,12 @@ box, so a plan never evaluates more points than the full grid, and a box of
 at most `_PLAN_MIN_POINTS` points goes to the kernel whole. The strict
 transform x0^2*P3 + x0*x4*Q3 + x4*x5*Q4 of a blown-up quintic plans to
 systems on F_q^4, then of P3, Q3 and Q4 on F_q^3 and below, as far as the
-boxes stay above that floor, instead of the grid F_q^6. The work cap
-charges the points of the boxes a count evaluates, and `_toric_counts` charges
-its plan and the exceptional strata together, before it evaluates anything.
+boxes stay above that floor, instead of the grid F_q^6.
 
-The exceptional count runs the kernel on each stratum's coordinate subspace,
-and the orbit count canonicalizes the kernel's solutions under the torus.
+The exceptional count is sum_U c_U * #Z(P|x_U=0) over unions U of strata, by
+inclusion-exclusion, and plans the restrictions P|x_U=0 like affine counts.
+Every exact count plans, charges its plan's points to the work cap, and only
+then evaluates; the orbit count canonicalizes the kernel's solutions.
 
 Congruence checks returned as :class:`CongruenceReport`:
 
@@ -194,18 +193,6 @@ def _check_poly_field(P: MultiPoly, spec: FieldSpec) -> None:
         )
 
 
-def _choose_block_vars(sizes: list[int], block_vars: int | None) -> int:
-    rho = len(sizes)
-    if block_vars is not None:
-        if not 0 <= block_vars <= rho:
-            raise InvalidParams(f"block_vars must be in [0, {rho}]")
-        return block_vars
-    k = 0
-    while k < rho and math.prod(sizes[k:]) > _BLOCK_TARGET:
-        k += 1
-    return k
-
-
 def _axis_view(values: np.ndarray, i: int, rho: int) -> np.ndarray:
     """`values` laid along axis i of a rho-dimensional box, for broadcasting."""
     return values.reshape((1,) * i + (-1,) + (1,) * (rho - 1 - i))
@@ -226,16 +213,15 @@ def _zero_masks(
     system: MultiPoly | Sequence[MultiPoly],
     spec: FieldSpec,
     axes: list[np.ndarray],
-    block_vars: int | None = None,
 ) -> Iterator[tuple[list[np.ndarray], np.ndarray]]:
     """Yield (block_axes, mask) over the box axes[0] x ... x axes[rho-1] of F_q^rho.
 
     axes[i] holds the element indices coordinate i runs over. The box is cut
-    into blocks over its leading axes (block_vars of them, or the fewest that
-    leave at most _BLOCK_TARGET points a block); block_axes are the axes of one
-    block, each leading axis holding one element, and mask, of the block's
-    shape in odometer order, is True where every polynomial of `system` (one
-    polynomial or a sequence of them) vanishes.
+    into blocks over the fewest leading axes that leave at most _BLOCK_TARGET
+    points a block; block_axes are the axes of one block, each leading axis
+    holding one element, and mask, of the block's shape in odometer order, is
+    True where every polynomial of `system` (one polynomial or a sequence of
+    them) vanishes.
 
     Every field takes the same path. A term c * prod x_i^e_i is evaluated as
     log c + sum e_i log x_i, broadcast from axis-shaped tables in which a
@@ -262,7 +248,8 @@ def _zero_masks(
     # terms that reduced digits (at most p-1) can take before one could overflow
     headroom = ((1 << bits) - 1) // (p - 1) - 1
     powers = {factor for terms in term_lists for _, factors in terms for factor in factors}
-    k = _choose_block_vars([len(a) for a in axes], block_vars)
+    sizes = [len(a) for a in axes]
+    k = next(k for k in range(rho + 1) if math.prod(sizes[k:]) <= _BLOCK_TARGET)
     for lead in itertools.product(*axes[:k]):
         block = [np.array([v]) for v in lead] + list(axes[k:])
         shape = tuple(len(a) for a in block)
@@ -318,6 +305,12 @@ def _tally(stats: dict, rules: Sequence[str] = (), points: int = 0, point_terms:
 def _restrict(P: MultiPoly, keep: Sequence[int], terms) -> MultiPoly:
     """The polynomial of `terms` in the variables `keep`, whose others are constant over them."""
     return MultiPoly(len(keep), P.domain, tuple((tuple(e[i] for i in keep), c) for e, c in terms))
+
+
+def _at_zero(P: MultiPoly, zero) -> MultiPoly:
+    """P with x_i = 0 for each i in `zero`, in the other variables."""
+    keep = [i for i in range(P.nvars) if i not in zero]
+    return _restrict(P, keep, [t for t in P.terms if not any(t[0][i] for i in zero)])
 
 
 def _at_one(P: MultiPoly, j: int) -> MultiPoly:
@@ -390,35 +383,41 @@ def _expand(box: Box, q: int) -> tuple[str, list[Child]] | None:
         # to share variables with B; in the quintic x4 goes first and x5 stays linear in B
         _, j, P = max(linear, key=lambda t: (t[0], -t[1]))
         keep = [i for i in range(m) if i != j]
-        A = _restrict(P, keep, [t for t in P.terms if not t[0][j]])
+        A = _at_zero(P, (j,))
         B = _restrict(P, keep, [t for t in P.terms if t[0][j]])
-        C = [_restrict(R, keep, R.terms) for R in system if R is not P]
+        C = [_at_zero(R, (j,)) for R in system if R is not P]
         parts = [(1, C), (-1, C + [B]), (q, C + [A, B])]
         return "linear", [(k, b) for k, polys in parts if (b := _box(m - 1, polys))]
     lattice = _homogeneity_lattice(system, m)
     for j in range(m if lattice else 0):
         if math.gcd(*(c[j] for c in lattice)) == 1:
-            keep = [i for i in range(m) if i != j]
-            zero = [_restrict(P, keep, [t for t in P.terms if not t[0][j]]) for P in system]
+            zero = [_at_zero(P, (j,)) for P in system]
             one = [_at_one(P, j) for P in system]
             parts = [(1, zero), (q - 1, one)]
             return "chart", [(k, b) for k, polys in parts if (b := _box(m - 1, polys))]
     return None
 
 
-def _plan(P: MultiPoly, q: int, stats: dict | None = None) -> dict[Box, int]:
-    """#Z(P) over F_q^n as {box: coefficient}; `stats`, when given, gains the rules fired.
+def _plan(
+    roots: Sequence[tuple[int, MultiPoly]], q: int, stats: dict | None = None
+) -> dict[Box, int]:
+    """sum k*#Z(P) over the roots (k, P), P over F_q^n, as {box: coefficient}.
 
     Each box is given the cheaper of the kernel on its q^m points and the
     boxes of its first fitting rule; boxes of at most _PLAN_MIN_POINTS points
-    are not expanded, and the box (0, {}) counts 1.
+    are not expanded, and the box (0, {}) counts 1. The roots share what is
+    planned, and `stats`, when given, gains the rules fired.
     """
-    root = _box(P.nvars, [P])
-    if root is None:
-        return {}
     chosen: dict[Box, tuple[str | None, list[Child]]] = {}
-    _cost(root, q, chosen, {})
-    return _combination(root, chosen, {}, stats)
+    costs, combos, out = {}, {}, {}
+    for k, P in roots:
+        root = _box(P.nvars, [P])
+        if root is None:
+            continue
+        _cost(root, q, chosen, costs)
+        for leaf, c in _combination(root, chosen, combos, stats).items():
+            out[leaf] = out.get(leaf, 0) + k * c
+    return {leaf: c for leaf, c in out.items() if c}
 
 
 def _cost(box: Box, q: int, chosen: dict, costs: dict) -> int:
@@ -460,7 +459,7 @@ def _charge(points: int, work_cap: int) -> None:
         raise CapExceeded(f"{points} evaluations exceed the work cap {work_cap}")
 
 
-def _run_plan(plan: dict[Box, int], spec: FieldSpec, block_vars: int | None, stats: dict | None) -> int:
+def _run_plan(plan: dict[Box, int], spec: FieldSpec, stats: dict | None = None) -> int:
     if stats is not None:
         _tally(stats)
     total = 0
@@ -468,9 +467,8 @@ def _run_plan(plan: dict[Box, int], spec: FieldSpec, block_vars: int | None, sta
         if not system:
             total += coeff * spec.q ** m
             continue
-        bv = None if block_vars is None else min(block_vars, m)
         axes = [np.arange(spec.q)] * m
-        n = sum(int(np.count_nonzero(mask)) for _, mask in _zero_masks(system, spec, axes, bv))
+        n = sum(int(np.count_nonzero(mask)) for _, mask in _zero_masks(system, spec, axes))
         total += coeff * n
         if stats is not None:
             points = spec.q ** m
@@ -483,7 +481,6 @@ def affine_count(
     spec: FieldSpec,
     *,
     work_cap: int = DEFAULT_WORK_CAP,
-    block_vars: int | None = None,
     stats: dict | None = None,
 ) -> int:
     """Exact #{x in F_q^rho : P(x) = 0}; deterministic, partition independent.
@@ -492,16 +489,27 @@ def affine_count(
     when given, gains the rules that fired and the points evaluated.
     """
     _check_poly_field(P, spec)
-    if block_vars is not None:
-        _choose_block_vars([spec.q] * P.nvars, block_vars)  # validates the range
-    plan = _plan(P, spec.q, stats)
+    plan = _plan([(1, P)], spec.q, stats)
     _charge(_plan_points(plan, spec.q), work_cap)
-    return _run_plan(plan, spec, block_vars, stats)
+    return _run_plan(plan, spec, stats)
 
 
-def _strata_points(space: Space, q: int) -> int:
-    rho = space.grading.rho
-    return sum(q ** (rho - len(stratum)) for stratum in space.exceptional.strata)
+def _strata_roots(P: MultiPoly, space: Space) -> list[tuple[int, MultiPoly]]:
+    """Zeros of P on the strata's subspaces V_S = {x_i = 0, i in S} as roots (c_U, P|x_U=0).
+
+    Inclusion-exclusion adds one stratum at a time: 1_(A or V_S) = 1_A + 1_(V_S) -
+    1_A * 1_(V_S), with 1_(V_U) * 1_(V_S) = 1_(V_(U | S)); equal unions share one c_U.
+    """
+    unions: dict[frozenset, int] = {}
+    for stratum in space.exceptional.strata:
+        S = frozenset(stratum)
+        step = {S: 1}
+        for U, c in unions.items():
+            step[U | S] = step.get(U | S, 0) - c
+        for U, c in step.items():
+            unions[U] = unions.get(U, 0) + c
+        unions = {U: c for U, c in unions.items() if c}
+    return [(c, _at_zero(P, U)) for U, c in unions.items()]
 
 
 def exceptional_on_hypersurface(
@@ -511,36 +519,21 @@ def exceptional_on_hypersurface(
     *,
     work_cap: int = DEFAULT_WORK_CAP,
 ) -> int:
-    """#{x in Z(F_q) : P(x) = 0}, one coordinate subspace per stratum.
+    """#{x in Z(F_q) : P(x) = 0}, planned from the restrictions of P to the strata.
 
-    Stratum n contributes the zeros of P on its subspace {x_i = 0, i in
-    stratum} that lie on none of the strata before it. The work cap bounds
-    the points of all the subspaces together.
+    The work cap bounds the points of the boxes the plan evaluates.
     """
     space = as_space(space_like)
     _check_space_poly(P, space, spec)
-    _charge(_strata_points(space, spec.q), work_cap)
-    return _exceptional(P, space, spec, None)
+    plan = _plan(_strata_roots(P, space), spec.q)
+    _charge(_plan_points(plan, spec.q), work_cap)
+    return _run_plan(plan, spec)
 
 
 def _check_space_poly(P: MultiPoly, space: Space, spec: FieldSpec) -> None:
     _check_poly_field(P, spec)
     if P.nvars != space.grading.rho:
         raise InvalidParams(f"polynomial has {P.nvars} vars, space has {space.grading.rho}")
-
-
-def _exceptional(P: MultiPoly, space: Space, spec: FieldSpec, stats: dict | None) -> int:
-    q, rho = spec.q, space.grading.rho
-    strata = space.exceptional.strata
-    total = 0
-    for n, stratum in enumerate(strata):
-        axes = [np.zeros(1, dtype=np.int64) if i in stratum else np.arange(q) for i in range(rho)]
-        for block, mask in _zero_masks(P, spec, axes):
-            total += int(np.count_nonzero(mask & ~_on_strata(block, strata[:n])))
-        if stats is not None:
-            points = q ** (rho - len(stratum))
-            _tally(stats, points=points, point_terms=points * len(P.terms))
-    return total
 
 
 # --------------------------------------------------------------------------
@@ -564,18 +557,19 @@ def _toric_counts(
 ) -> tuple[int, int, int]:
     """(N_affine, N_exceptional, N_toric) with N_toric = (N_affine - N_exceptional) / (q-1)^r.
 
-    The exceptional strata and the plan of the affine count are charged to
-    one work cap before anything is evaluated. Raises NonIntegralQuotient
-    unless the division is exact.
+    The plans of the affine and the exceptional count are charged to one
+    work cap before anything is evaluated. Raises NonIntegralQuotient unless
+    the division is exact.
     """
     G = space.grading
     _require_free_effective(G)
     _require_homogeneous_or_zero(P, G)
     _check_space_poly(P, space, spec)
-    plan = _plan(P, spec.q, stats)
-    _charge(_plan_points(plan, spec.q) + _strata_points(space, spec.q), work_cap)
-    n_aff = _run_plan(plan, spec, None, stats)
-    n_exc = _exceptional(P, space, spec, stats)
+    affine = _plan([(1, P)], spec.q, stats)
+    exceptional = _plan(_strata_roots(P, space), spec.q, stats)
+    _charge(_plan_points(affine, spec.q) + _plan_points(exceptional, spec.q), work_cap)
+    n_aff = _run_plan(affine, spec, stats)
+    n_exc = _run_plan(exceptional, spec, stats)
     denom = (spec.q - 1) ** G.r
     diff = n_aff - n_exc
     if diff % denom:

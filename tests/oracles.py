@@ -4,9 +4,10 @@ Everything here recomputes results through a different code path than the
 module under test: counting by per-point evaluation over term data, orbit
 counting by explicit orbit-set construction, the blown-up quintic by its
 fibers over (x1, x2, x3), the exceptional set by inclusion-exclusion over its
-strata, fan gradings by sympy's Smith and Hermite
+strata, zeros on the exceptional set point by point, fan gradings by sympy's Smith and Hermite
 normal forms, and the ring A_s by sympy's Groebner basis for grevlex with
-x > v (the library divides for v > x) and by the Gorenstein-trace recurrence.
+x > v (the library divides for v > x), by the Gorenstein-trace recurrence and
+by its closed form for gamma.
 """
 
 from __future__ import annotations
@@ -83,6 +84,21 @@ def blowup_fiber_count(inst: QuinticInstance) -> int:
         M = L if a0 else (q if c0 else 1)
         total += int(points) * (q * q - L + q * M)
     return total
+
+
+def naive_exceptional_count(P: MultiPoly, space: Space, spec: FieldSpec) -> int:
+    """Zeros of P on the exceptional set, point by point over the union of its strata."""
+    elements = enumerate_field(spec)
+    rho = space.grading.rho
+    points = set()
+    for stratum in space.exceptional.strata:
+        free = [i for i in range(rho) if i not in stratum]
+        for values in itertools.product(range(spec.q), repeat=len(free)):
+            point = [0] * rho
+            for i, v in zip(free, values):
+                point[i] = v
+            points.add(tuple(point))
+    return sum(1 for point in points if eval_poly(P, [elements[i] for i in point]).is_zero)
 
 
 def naive_power_sum(spec: FieldSpec, alpha: int) -> FieldElement:
@@ -206,6 +222,24 @@ def trace_gamma(s: int, c: int, E: int | None = None) -> tuple[Fraction | None, 
     coeffs = [comb(E, j) * 5 ** j * 2 ** (E - j) for j in range(E + 1)]
     pairings = [sum(a * phi[j + i] for j, a in enumerate(coeffs)) for i in range(D - E + 1)]
     return Fraction(pairings[0]), any(pairings)
+
+
+def closed_form_gamma(s: int, c: int, E: int | None = None) -> Fraction | None:
+    """gamma = [z^(3s+2)] (2+5z)^E * (1+z)^(-(2s+2)), or None when E > 6s+4.
+
+    The recurrence of `trace_gamma` solves to phi_(3s+2-k) = (-1)^k C(2s+1+k, k),
+    the coefficients of (1+z)^(-(2s+2)), and gamma = sum_j C(E, j) 5^j 2^(E-j) phi_j
+    is the coefficient of z^(3s+2) in the product. E defaults to 5s+c+1.
+    """
+    if E is None:
+        E = 5 * s + c + 1
+    if E > 6 * s + 4:
+        return None
+    n = 3 * s + 2
+    return Fraction(sum(
+        comb(E, j) * 5 ** j * 2 ** (E - j) * (-1) ** (n - j) * comb(2 * s + 1 + n - j, n - j)
+        for j in range(min(E, n) + 1)
+    ))
 
 
 def union_subspace_count(space: Space, q: int) -> int:

@@ -31,7 +31,13 @@ from toricount.errors import InvalidParams, NotHomogeneous
 from toricount.poly import QQ, MultiPoly, parse
 from toricount.rng import SplitMix64
 
-from oracles import groebner_gamma, groebner_hilbert, groebner_is_zero, trace_gamma
+from oracles import (
+    closed_form_gamma,
+    groebner_gamma,
+    groebner_hilbert,
+    groebner_is_zero,
+    trace_gamma,
+)
 
 X = class_x()
 V = class_v()
@@ -241,8 +247,22 @@ def test_certificate_matches_trace_oracle(s):
     for c in range(6):
         cert = tsen_certificate(s, c)
         assert (cert.gamma, cert.nonzero) == trace_gamma(s, c), (s, c)
+        assert cert.gamma == closed_form_gamma(s, c), (s, c)
     cert = tsen_certificate(s, 0, E_override=3 * s + 2)
     assert (cert.gamma, cert.nonzero) == trace_gamma(s, 0, E=3 * s + 2)
+    assert cert.gamma == closed_form_gamma(s, 0, E=3 * s + 2)
+
+
+def test_closed_form_gamma_sign_pattern():
+    # wherever E = 5s+c+1 <= 6s+4, i.e. c <= s+3: gamma != 0, and gamma < 0 iff c <= 1
+    budget = 5.0
+    start = time.monotonic()
+    for s in range(61):
+        for c in range(min(10, s + 3) + 1):
+            gamma = closed_form_gamma(s, c)
+            assert gamma != 0 and (gamma < 0) == (c <= 1), (s, c)
+    assert closed_form_gamma(0, 4) is None  # E = 5 > 4
+    assert time.monotonic() - start < budget
 
 
 def test_gamma_override_exponent():

@@ -129,22 +129,24 @@ def test_count_evaluates_the_grid_once(capsys, monkeypatch, tmp_path):
     inst = random_instance(F3, 4)
     path = tmp_path / "inst.json"
     path.write_text(inst.to_json())
-    calls = []
+    planned, evaluated = [], []
+    real_plan, real_masks = count_mod._plan, count_mod._zero_masks
 
-    def counted(name):
-        real = getattr(count_mod, name)
+    def plan(roots, *args):
+        planned.extend(P.nvars for _, P in roots)
+        return real_plan(roots, *args)
 
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return real(*args, **kwargs)
+    def masks(system, spec, axes):
+        evaluated.append(len(axes))
+        return real_masks(system, spec, axes)
 
-        return wrapper
-
-    # the affine count is planned once and its plan evaluated once
-    for name in ("_plan", "_run_plan"):
-        monkeypatch.setattr(count_mod, name, counted(name))
+    monkeypatch.setattr(count_mod, "_plan", plan)
+    monkeypatch.setattr(count_mod, "_zero_masks", masks)
     code, payload, _ = run_json(capsys, "count", "--field", "GF(3)", "--instance", str(path))
-    assert code == EXIT_PASS and calls == ["_plan", "_run_plan"]
+    assert code == EXIT_PASS
+    # the 3^6-point grid is planned once and, below the planner's floor, evaluated once
+    # whole; the strict transform restricts to 0 on the strata, which evaluate nothing
+    assert planned.count(6) == 1 and evaluated == [6]
     assert payload["n_toric"] * 4 == payload["n_affine"] - payload["n_exceptional"]
 
 

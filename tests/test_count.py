@@ -1,10 +1,12 @@
 import dataclasses
 from math import comb
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from toricount import count
 from toricount.count import (
     DEFAULT_WORK_CAP,
     CongruenceReport,
@@ -40,6 +42,7 @@ from toricount.poly import (
     MultiPoly,
     degree_bounds,
     parse,
+    print_poly,
     random_homogeneous,
     standard_grading,
     total_generator_degree,
@@ -55,6 +58,7 @@ from toricount.rng import SplitMix64
 from oracles import (
     blowup_fiber_count,
     naive_affine_count,
+    naive_exceptional_count,
     naive_toric_orbits,
     union_subspace_count,
 )
@@ -105,10 +109,15 @@ def test_affine_count_matches_oracle_large_fields(spec, nvars, max_exp, nterms):
     assert affine_count(P, spec) == naive_affine_count(P, spec)
 
 
-@given(small_poly(), st.integers(0, 3))
-def test_partition_independence(P, bv):
-    bv = min(bv, P.nvars)
-    assert affine_count(P, P.domain, block_vars=bv) == naive_affine_count(P, P.domain)
+@given(small_poly())
+def test_partition_independence(P):
+    # the grids are below count._PLAN_MIN_POINTS, so the kernel sees the whole of
+    # each; the block target forces blocks of one point, q points, q^2 and the grid
+    q = P.domain.q
+    expected = naive_affine_count(P, P.domain)
+    for target in (1, q, q**2, q**P.nvars):
+        with mock.patch.object(count, "_BLOCK_TARGET", target):
+            assert affine_count(P, P.domain) == expected, target
 
 
 def test_zero_masks_reduce_digits_before_they_overflow():
@@ -263,25 +272,41 @@ def test_small_boxes_go_to_the_kernel_whole():
     assert stats["rules"] == {"kernel": 1} and stats["points"] == 2**9
 
 
-def test_work_budget_covers_plan_and_strata():
+def test_work_budget_covers_plan_and_strata(monkeypatch):
     spec = make_field(2, 5)  # GF(32): the whole grid, 32^6, is above the default cap
     inst = random_instance(spec, 1)
     P = strict_transform(inst)
     rep = check_esnault(inst, stats={})
     assert rep.passed and rep.n_exceptional == 2 * 32**3 - 1
     total = rep.stats["points"]
-    assert 2 * 32**3 < total < DEFAULT_WORK_CAP < 32**6
+    assert 0 < total < DEFAULT_WORK_CAP < 32**6
     with pytest.raises(CapExceeded, match=f"^{total} evaluations exceed the work cap {total - 1}$"):
         check_esnault(inst, work_cap=total - 1)
     assert check_esnault(inst, work_cap=total).n_toric == rep.n_toric
-    # the strata are charged together, and before the affine plan is evaluated
+    # the strict transform restricts to 0 on both strata, so they cost no points
+    assert exceptional_on_hypersurface(P, BLOWUP, spec, work_cap=0) == rep.n_exceptional
     with pytest.raises(CapExceeded):
-        exceptional_on_hypersurface(P, BLOWUP, spec, work_cap=2 * 32**3 - 1)
-    assert exceptional_on_hypersurface(P, BLOWUP, spec, work_cap=2 * 32**3) == rep.n_exceptional
-    plan = total - 2 * 32**3
-    with pytest.raises(CapExceeded):
-        affine_count(P, spec, work_cap=plan - 1)
-    assert affine_count(P, spec, work_cap=plan) == rep.n_affine
+        affine_count(P, spec, work_cap=total - 1)
+    assert affine_count(P, spec, work_cap=total) == rep.n_affine
+    # F restricts to x0^2*x5 + x4^2*x5 on x1 = x2 = x3 = 0, which leaves a kernel box;
+    # the affine and exceptional plans are charged together, before any evaluation
+    F = parse("x0^2*x5 + x4^2*x5 + x1^2*x5^3 + x1*x2*x5^3 + x0*x3*x5^2", 6, spec)
+    stats, affine = {}, {}
+    n_aff, n_exc, n_toric = count._toric_counts(F, BLOWUP, spec, DEFAULT_WORK_CAP, stats)
+    assert affine_count(F, spec, stats=affine) == n_aff
+    strata = stats["points"] - affine["points"]
+    assert strata > 0
+    evaluated = []
+    real = count._zero_masks
+    monkeypatch.setattr(count, "_zero_masks", lambda *a: evaluated.append(a) or real(*a))
+    for cap in (0, strata - 1):
+        with pytest.raises(CapExceeded, match=f"^{strata} evaluations"):
+            exceptional_on_hypersurface(F, BLOWUP, spec, work_cap=cap)
+    with pytest.raises(CapExceeded, match=f"^{stats['points']} evaluations"):
+        toric_count_quotient(F, BLOWUP, spec, work_cap=stats["points"] - 1)
+    assert not evaluated
+    assert exceptional_on_hypersurface(F, BLOWUP, spec, work_cap=strata) == n_exc
+    assert toric_count_quotient(F, BLOWUP, spec, work_cap=stats["points"]) == n_toric
 
 
 def test_field_mismatch_rejected():
@@ -301,6 +326,81 @@ def test_exceptional_counts(spec):
     assert union_subspace_count(BLOWUP, q) == 2 * q**3 - 1
     strict = strict_transform(random_instance(spec, 11))
     assert exceptional_on_hypersurface(strict, BLOWUP, spec) == 2 * q**3 - 1
+
+
+def seeded_poly_off_strata(space, spec, rng, nterms=3):
+    """Random terms, plus one term off each stratum, so that P restricts to nonzero on each."""
+    rho = space.grading.rho
+    supports = [range(rho)] * nterms + [
+        [i for i in range(rho) if i not in stratum] for stratum in space.exceptional.strata
+    ]
+    mapping = {}
+    for support in supports:
+        exps = tuple(rng.next_below(3) if i in support else 0 for i in range(rho))
+        mapping[exps] = spec.from_index(1 + rng.next_below(spec.q - 1))
+    return MultiPoly.from_dict(rho, spec, mapping)
+
+
+#: (P^1)^3: three disjoint strata {x0 = x1 = 0}, {x2 = x3 = 0}, {x4 = x5 = 0}, 7 unions
+P1_CUBED = space_from_fan(
+    make_fan(
+        3,
+        [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)],
+        [(a, b, c) for a in (0, 1) for b in (2, 3) for c in (4, 5)],
+    ),
+    name="P1xP1xP1",
+)
+
+#: nested and repeated strata: V_(0,1) and V_(1,2,3) lie in V_(0) and V_(2,3),
+#: and V_(0) comes twice, so most unions merge to coefficient 0
+NESTED = Space(
+    name="nested-strata",
+    grading=GradingData(rho=4, r=1, weights=((1,),) * 4),
+    exceptional=ExceptionalSet(strata=((0,), (0, 1), (2, 3), (0,), (1, 2, 3))),
+)
+
+
+def test_strata_roots_merge_unions():
+    assert P1_CUBED.exceptional.strata == ((0, 1), (2, 3), (4, 5))
+    roots = count._strata_roots(MultiPoly.zero(6, F2), P1_CUBED)
+    assert sorted((P.nvars, c) for c, P in roots) == [(0, 1)] + [(2, -1)] * 3 + [(4, 1)] * 3
+    # V_(0) + V_(2,3) - V_(0,2,3)
+    roots = count._strata_roots(MultiPoly.zero(4, F2), NESTED)
+    assert sorted((P.nvars, c) for c, P in roots) == [(1, -1), (2, 1), (3, 1)]
+
+
+@pytest.mark.parametrize(
+    "space",
+    [builtin(n) for n in ("projective(2)", "blowup_p2", "weighted(1,1,2)", "blowup_p4_line")]
+    + [P1_CUBED, NESTED],
+    ids=lambda sp: sp.name,
+)
+def test_exceptional_count_matches_oracle(space):
+    rng = SplitMix64(len(space.name))
+    for spec in (F2, F3):
+        zero = MultiPoly.zero(space.grading.rho, spec)
+        assert exceptional_on_hypersurface(zero, space, spec) == union_subspace_count(space, spec.q)
+        assert naive_exceptional_count(zero, space, spec) == union_subspace_count(space, spec.q)
+        for _ in range(4):
+            P = seeded_poly_off_strata(space, spec, rng)
+            expected = naive_exceptional_count(P, space, spec)
+            assert exceptional_on_hypersurface(P, space, spec) == expected, print_poly(P)
+
+
+def test_exceptional_count_plans_the_strata():
+    # V_(0) holds 131^2 points, above count._PLAN_MIN_POINTS, so the planner
+    # applies the linear rule (in x1) to P|x0=0 = x1*(x2 - 1) + x2^2 + 1
+    spec = make_field(131)
+    space = Space(
+        name="two-strata",
+        grading=GradingData(rho=3, r=1, weights=((1,),) * 3),
+        exceptional=ExceptionalSet(strata=((0,), (1, 2))),
+    )
+    P = parse("x1*x2 + x2^2 - x1 + 1 + x0*x1^2", 3, spec)
+    stats = {}
+    count._plan(count._strata_roots(P, space), spec.q, stats)
+    assert stats["rules"].get("linear", 0) > 0, stats
+    assert exceptional_on_hypersurface(P, space, spec) == naive_exceptional_count(P, space, spec)
 
 
 @pytest.mark.parametrize("spec", [F2, F3, F4], ids=lambda s: s.name)
