@@ -136,7 +136,7 @@ def _load_instance(args: argparse.Namespace) -> quintic.QuinticInstance:
 # --------------------------------------------------------------------------
 
 def cmd_field_info(args: argparse.Namespace) -> int:
-    spec = _require_field(args)
+    spec = args.field
     payload = {
         "name": spec.name,
         "p": spec.p,
@@ -179,7 +179,7 @@ def cmd_fan(args: argparse.Namespace) -> int:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    spec = _require_field(args)
+    spec = args.field
     if (args.poly is None) == (args.instance is None):
         raise ToricountError("exactly one of --poly or --instance is required")
     if args.instance is not None:
@@ -193,9 +193,9 @@ def cmd_count(args: argparse.Namespace) -> int:
     if P.nvars != G.rho:
         raise ToricountError(f"polynomial has {P.nvars} variables, fan has {G.rho} rays")
     stats = _stats(args)
-    n_aff, n_exc, n_tor = count._toric_counts(P, space, spec, args.work_cap, stats)
-    mu = ax_exponent(G, degree_bounds(P, G))
-    degree = list(multidegree(P, G))
+    n_aff, n_exc, n_tor, degree = count._toric_counts(P, space, spec, args.work_cap, stats)
+    mu = ax_exponent(G, degree_bounds(P, G))  # raises on P = 0, whose degree is None
+    degree = list(degree)
     text = print_poly(P)
     payload = {
         "field": spec.name,
@@ -235,7 +235,7 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 def _verify_reports(args: argparse.Namespace) -> tuple[list[count.CongruenceReport], list[dict]]:
     """Reports plus the serialized inputs (for failure round-trips)."""
-    spec = _require_field(args)
+    spec = args.field
     kind = args.subcommand
     reports: list[count.CongruenceReport] = []
     sources: list[dict] = []
@@ -289,7 +289,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     ]
     payload = {
         "check": args.subcommand,
-        "field": args.field.name if args.field else None,
+        "field": args.field.name,
         "batch": len(reports),
         "seed": args.seed,
         "passed": len(reports) - len(failures),
@@ -317,8 +317,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_quintic(args: argparse.Namespace) -> int:
     if args.subcommand == "random":
-        spec = _require_field(args)
-        inst = quintic.random_instance(spec, _require_seed(args), args.policy)
+        inst = quintic.random_instance(args.field, args.seed, args.policy)
         payload = inst.to_dict()
         _render(args, payload, inst.describe())
         return EXIT_PASS
@@ -353,8 +352,6 @@ def cmd_quintic(args: argparse.Namespace) -> int:
 
 def cmd_chow(args: argparse.Namespace) -> int:
     if args.subcommand == "sweep":
-        if args.c is None or args.s_max is None:
-            raise ToricountError("sweep needs --c and --s-max")
         if args.s_max < 0:
             raise InvalidParams(f"s_max must be >= 0, got {args.s_max}")
         certs = [chow.tsen_certificate(s, args.c) for s in range(args.s_max + 1)]
@@ -372,8 +369,6 @@ def cmd_chow(args: argparse.Namespace) -> int:
             )
         _render(args, payload, "\n".join(lines))
         return EXIT_PASS
-    if args.s is None or args.c is None:
-        raise ToricountError("certify needs --s and --c")
     certs = [chow.tsen_certificate(args.s, args.c)]
     if args.E is not None:
         certs.append(chow.tsen_certificate(args.s, args.c, args.E))
@@ -504,7 +499,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.field = parse_field_name(args.field) if getattr(args, "field", None) else None
+        args.field = None if getattr(args, "field", None) is None else parse_field_name(args.field)
         return _HANDLERS[args.command](args)
     except PolyParseError as exc:
         print(f"polynomial error: {exc}", file=sys.stderr)

@@ -72,6 +72,7 @@ from .errors import (
 from .fan import GradingData, Space, _column_hnf, builtin
 from .ff import FieldSpec, log_tables
 from .poly import (
+    MultiDegree,
     MultiPoly,
     ax_exponent,
     classical_ax_exponent,
@@ -123,45 +124,26 @@ class CongruenceReport:
     elapsed: float = 0.0
     stats: dict | None = None
 
+    CSV_FIELDS = (
+        "kind", "q", "p", "f", "n_affine", "n_exceptional", "n_toric",
+        "modulus", "residue", "pass", "mu", "mu_classical", "ax_pass",
+    )
+
     def to_dict(self, include_timing: bool = False) -> dict:
-        out: dict = {
-            "kind": self.kind,
-            "q": self.q,
-            "p": self.p,
-            "f": self.f,
-            "n_affine": self.n_affine,
-        }
-        if self.n_exceptional is not None:
-            out["n_exceptional"] = self.n_exceptional
-        if self.n_toric is not None:
-            out["n_toric"] = self.n_toric
-        out["modulus"] = self.modulus
-        out["residue"] = self.residue
-        out["pass"] = self.passed
-        if self.mu is not None:
-            out["mu"] = self.mu
-        if self.mu_classical is not None:
-            out["mu_classical"] = self.mu_classical
-        if self.ax_pass is not None:
-            out["ax_pass"] = self.ax_pass
+        """The CSV_FIELDS that are set ("pass" reads `passed`), then stats and timing."""
+        out = {key: v for key in self.CSV_FIELDS if (v := self._field(key)) is not None}
         if self.stats is not None:
             out["stats"] = self.stats
         if include_timing:
             out["timing"] = {"elapsed_s": self.elapsed}
         return out
 
-    CSV_FIELDS = (
-        "kind", "q", "p", "f", "n_affine", "n_exceptional", "n_toric",
-        "modulus", "residue", "pass", "mu", "mu_classical", "ax_pass",
-    )
-
     def to_csv_row(self) -> list[str]:
-        d = self.to_dict()
-        row = []
-        for key in self.CSV_FIELDS:
-            v = d.get(key)
-            row.append("" if v is None else str(v).lower() if isinstance(v, bool) else str(v))
-        return row
+        row = [self._field(key) for key in self.CSV_FIELDS]
+        return ["" if v is None else str(v).lower() if isinstance(v, bool) else str(v) for v in row]
+
+    def _field(self, key: str):
+        return getattr(self, "passed" if key == "pass" else key)
 
 
 # --------------------------------------------------------------------------
@@ -547,24 +529,30 @@ def _require_free_effective(G: GradingData) -> None:
         raise NonEffectiveGrading("grading has negative weights")
 
 
-def _require_homogeneous_or_zero(P: MultiPoly, G: GradingData) -> None:
-    if not P.is_zero:
-        multidegree(P, G)  # raises NotHomogeneous on mixed degrees
+def _toric_input(P: MultiPoly, space: Space, spec: FieldSpec) -> MultiDegree | None:
+    """Check the input of a toric count; the multidegree of P, or None for P = 0.
+
+    The grading must be free and effective, P homogeneous (orbits must be well
+    defined), over `spec` and in one variable per ray, checked in that order.
+    """
+    _require_free_effective(space.grading)
+    degree = None if P.is_zero else multidegree(P, space.grading)
+    _check_space_poly(P, space, spec)
+    return degree
 
 
 def _toric_counts(
     P: MultiPoly, space: Space, spec: FieldSpec, work_cap: int, stats: dict | None = None
-) -> tuple[int, int, int]:
-    """(N_affine, N_exceptional, N_toric) with N_toric = (N_affine - N_exceptional) / (q-1)^r.
+) -> tuple[int, int, int, MultiDegree | None]:
+    """(N_affine, N_exceptional, N_toric, multidegree of P or None for P = 0), where
+    N_toric = (N_affine - N_exceptional) / (q-1)^r.
 
     The plans of the affine and the exceptional count are charged to one
     work cap before anything is evaluated. Raises NonIntegralQuotient unless
     the division is exact.
     """
     G = space.grading
-    _require_free_effective(G)
-    _require_homogeneous_or_zero(P, G)
-    _check_space_poly(P, space, spec)
+    degree = _toric_input(P, space, spec)
     affine = _plan([(1, P)], spec.q, stats)
     exceptional = _plan(_strata_roots(P, space), spec.q, stats)
     _charge(_plan_points(affine, spec.q) + _plan_points(exceptional, spec.q), work_cap)
@@ -576,7 +564,7 @@ def _toric_counts(
         raise NonIntegralQuotient(
             f"(N_affine - N_exceptional) = {diff} is not divisible by (q-1)^{G.r} = {denom}"
         )
-    return n_aff, n_exc, diff // denom
+    return n_aff, n_exc, diff // denom, degree
 
 
 def toric_count_quotient(
@@ -596,9 +584,8 @@ def toric_count_orbits(
     the count is the number of distinct representatives.
     """
     space = as_space(space_like)
+    _toric_input(P, space, spec)
     G = space.grading
-    _require_free_effective(G)
-    _require_homogeneous_or_zero(P, G)
     q = spec.q
     rho = G.rho
     points = q ** rho
@@ -637,6 +624,18 @@ def toric_count_orbits(
 # congruence checks
 # --------------------------------------------------------------------------
 
+def _report(
+    kind: str, spec: FieldSpec, start: float, n_affine: int, value: int, modulus: int, want: int,
+    **extra,
+) -> CongruenceReport:
+    """The report that `value` ≡ `want` (mod `modulus`), timed from `start`."""
+    residue = value % modulus
+    return CongruenceReport(
+        kind=kind, q=spec.q, p=spec.p, f=spec.f, n_affine=n_affine, modulus=modulus,
+        residue=residue, passed=residue == want, elapsed=time.monotonic() - start, **extra,
+    )
+
+
 def check_cw(
     P: MultiPoly,
     grading_like,
@@ -654,19 +653,7 @@ def check_cw(
     if not any(d[j] < a[j] for j in range(G.r)):
         raise HypothesisNotMet(f"degree bounds {d} not below weight sums {a} in any component")
     n = affine_count(P, spec, work_cap=work_cap, stats=stats)
-    residue = n % spec.p
-    return CongruenceReport(
-        kind="CW",
-        q=spec.q,
-        p=spec.p,
-        f=spec.f,
-        n_affine=n,
-        modulus=spec.p,
-        residue=residue,
-        passed=residue == 0,
-        elapsed=time.monotonic() - start,
-        stats=stats,
-    )
+    return _report("CW", spec, start, n, n, spec.p, 0, stats=stats)
 
 
 def check_cw_projective(
@@ -678,20 +665,8 @@ def check_cw_projective(
     d = multidegree(P, standard_grading(P.nvars))[0]  # strict homogeneity: orbits are needed
     if not 1 <= d <= n:
         raise HypothesisNotMet(f"degree {d} is outside [1, {n}], the range for P^{n}")
-    n_aff, _, n_proj = _toric_counts(P, builtin(f"projective({n})"), spec, work_cap)
-    residue = n_proj % spec.p
-    return CongruenceReport(
-        kind="CW-projective",
-        q=spec.q,
-        p=spec.p,
-        f=spec.f,
-        n_affine=n_aff,
-        n_toric=n_proj,
-        modulus=spec.p,
-        residue=residue,
-        passed=residue == 1,
-        elapsed=time.monotonic() - start,
-    )
+    n_aff, _, n_proj, _ = _toric_counts(P, builtin(f"projective({n})"), spec, work_cap)
+    return _report("CW-projective", spec, start, n_aff, n_proj, spec.p, 1, n_toric=n_proj)
 
 
 def check_ax(
@@ -708,25 +683,12 @@ def check_ax(
     _require_free_effective(G)
     d = degree_bounds(P, G)
     mu = ax_exponent(G, d)
-    modulus = spec.q ** mu
     n = affine_count(P, spec, work_cap=work_cap, stats=stats)
-    residue = n % modulus
     mu_classical = None
     if G.r == 1 and all(row == (1,) for row in G.weights):
         mu_classical = classical_ax_exponent(G.rho, d[0])
-    return CongruenceReport(
-        kind="Ax",
-        q=spec.q,
-        p=spec.p,
-        f=spec.f,
-        n_affine=n,
-        modulus=modulus,
-        residue=residue,
-        passed=residue == 0,
-        mu=mu,
-        mu_classical=mu_classical,
-        elapsed=time.monotonic() - start,
-        stats=stats,
+    return _report(
+        "Ax", spec, start, n, n, spec.q ** mu, 0, mu=mu, mu_classical=mu_classical, stats=stats
     )
 
 
@@ -755,25 +717,10 @@ def check_esnault(
         raise FieldMismatch(f"instance over {inst.field.name}, check over {spec.name}")
     space = blowup_p4_space()
     P = quintic_mod.strict_transform(inst)
-    G = space.grading
-    d = multidegree(P, G)
-    mu = ax_exponent(G, d)
+    n_aff, n_exc, n_toric, d = _toric_counts(P, space, spec, work_cap, stats)
+    mu = ax_exponent(space.grading, d)
     q = spec.q
-    n_aff, n_exc, n_toric = _toric_counts(P, space, spec, work_cap, stats)
-    residue = n_toric % q
-    return CongruenceReport(
-        kind="Esnault",
-        q=q,
-        p=spec.p,
-        f=spec.f,
-        n_affine=n_aff,
-        n_exceptional=n_exc,
-        n_toric=n_toric,
-        modulus=q,
-        residue=residue,
-        passed=residue == 1,
-        mu=mu,
-        ax_pass=n_aff % q ** mu == 0,
-        elapsed=time.monotonic() - start,
-        stats=stats,
+    return _report(
+        "Esnault", spec, start, n_aff, n_toric, q, 1,
+        n_exceptional=n_exc, n_toric=n_toric, mu=mu, ax_pass=n_aff % q ** mu == 0, stats=stats,
     )

@@ -325,25 +325,26 @@ class FieldElement:
 # field construction
 # --------------------------------------------------------------------------
 
-def make_field(p: int, f: int = 1, cap: int = CARDINALITY_CAP) -> FieldSpec:
+def make_field(p: int, f: int = 1) -> FieldSpec:
     """F_{p^f} with the lexicographically least monic irreducible modulus.
 
     Lexicographic order compares coefficient tuples constant-term first:
     GF(9) gets t^2 + 1, GF(4) gets t^2 + t + 1, GF(p) gets t.
 
-    Specs are interned: equal (p, f, cap) always yields the same object.
+    Specs are interned: equal (p, f) always yields the same object.
     """
-    return _make_field(int(p), int(f), int(cap))
+    return _make_field(int(p), int(f))
 
 
 @lru_cache(maxsize=None)
-def _make_field(p: int, f: int, cap: int) -> FieldSpec:
+def _make_field(p: int, f: int) -> FieldSpec:
     if f < 1:
         raise InvalidParams(f"extension degree must be >= 1, got {f}")
     if not is_prime(p):
         raise CompositeP(f"{p} is not prime")
-    if f >= cap.bit_length() or p ** f > cap:  # p^f >= 2^f: no huge power is formed
-        raise CapExceeded(f"{p}^{f} exceeds the cardinality cap {cap}")
+    # p^f >= 2^f, so no huge power is formed
+    if f >= CARDINALITY_CAP.bit_length() or p ** f > CARDINALITY_CAP:
+        raise CapExceeded(f"{p}^{f} exceeds the cardinality cap {CARDINALITY_CAP}")
     for lower in itertools.product(range(p), repeat=f):
         mod = tuple(lower) + (1,)
         if _is_irreducible(mod, p):

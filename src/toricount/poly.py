@@ -1,7 +1,7 @@
 """Exact sparse multivariate polynomials over a pluggable coefficient domain.
 
-Supported domains: a finite field (:class:`~toricount.ff.FieldSpec`), the
-rationals ``QQ`` (exact :class:`fractions.Fraction`), and the integers ``ZZ``.
+Supported domains: a finite field (:class:`~toricount.ff.FieldSpec`) and the
+rationals ``QQ`` (exact :class:`fractions.Fraction`).
 Polynomials are immutable term maps in canonical form (terms sorted in
 descending lexicographic order of exponent vectors, no zero coefficients), so
 structural equality is mathematical equality.
@@ -63,31 +63,17 @@ class _Rationals:
         return "QQ"
 
 
-class _Integers:
-    """Singleton domain tag for integer coefficients."""
-
-    name = "ZZ"
-
-    def __repr__(self) -> str:
-        return "ZZ"
-
-
 QQ = _Rationals()
-ZZ = _Integers()
 
-Domain = FieldSpec | _Rationals | _Integers
+Domain = FieldSpec | _Rationals
 
 
 def domain_zero(domain: Domain):
-    if isinstance(domain, FieldSpec):
-        return domain.zero()
-    return Fraction(0) if domain is QQ else 0
+    return domain.zero() if isinstance(domain, FieldSpec) else Fraction(0)
 
 
 def domain_one(domain: Domain):
-    if isinstance(domain, FieldSpec):
-        return domain.one()
-    return Fraction(1) if domain is QQ else 1
+    return domain.one() if isinstance(domain, FieldSpec) else Fraction(1)
 
 
 def domain_coerce(domain: Domain, value):
@@ -100,13 +86,9 @@ def domain_coerce(domain: Domain, value):
         if isinstance(value, int):
             return domain.from_int(value)
         raise InvalidParams(f"cannot coerce {value!r} into {domain.name}")
-    if domain is QQ:
-        if isinstance(value, (int, Fraction)):
-            return Fraction(value)
-        raise InvalidParams(f"cannot coerce {value!r} into QQ")
-    if isinstance(value, int):
-        return value
-    raise InvalidParams(f"cannot coerce {value!r} into ZZ")
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    raise InvalidParams(f"cannot coerce {value!r} into QQ")
 
 
 def _is_zero_coeff(c) -> bool:
@@ -441,16 +423,15 @@ def random_homogeneous(
     d: MultiDegree,
     spec: FieldSpec,
     rng: SplitMix64,
-    nonzero: bool = True,
 ) -> MultiPoly:
-    """Seeded random polynomial with support in the multidegree-d monomials."""
+    """Seeded nonzero random polynomial with support in the multidegree-d monomials."""
     monos = monomials_of_multidegree(grading, d)
     if not monos:
         raise InvalidParams(f"no monomials of multidegree {d} under this grading")
     while True:
         coeffs = {m: spec.from_index(rng.next_below(spec.q)) for m in monos}
         P = MultiPoly.from_dict(grading.rho, spec, coeffs)
-        if not nonzero or not P.is_zero:
+        if not P.is_zero:
             return P
 
 

@@ -37,6 +37,7 @@ from .poly import (
     MultiPoly,
     evaluate,
     is_homogeneous,
+    monomials_of_multidegree,
     multidegree,
     print_poly,
     standard_grading,
@@ -51,15 +52,8 @@ def monomial_basis(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:
     """Exponent tuples of total degree `degree`, in descending degrevlex order."""
     if nvars < 1 or degree < 0:
         raise InvalidParams("need nvars >= 1 and degree >= 0")
-
-    def gen(rem_vars: int, rem_deg: int) -> list[tuple[int, ...]]:
-        if rem_vars == 1:
-            return [(rem_deg,)]
-        return [(e,) + rest for e in range(rem_deg + 1) for rest in gen(rem_vars - 1, rem_deg - e)]
-
-    exps = gen(nvars, degree)
-    exps.sort(key=lambda e: tuple(reversed(e)))
-    return tuple(exps)
+    exps = monomials_of_multidegree(standard_grading(nvars), (degree,))
+    return tuple(sorted(exps, key=lambda e: e[::-1]))
 
 
 def poly_from_coefficients(
@@ -183,45 +177,30 @@ class QuinticInstance:
 # the two equations and the blowdown map
 # --------------------------------------------------------------------------
 
-def _scatter(P: MultiPoly, nvars: int, positions: Sequence[int]) -> MultiPoly:
-    """Reinterpret a polynomial in new variable positions inside a larger ring."""
-    acc = {}
-    for exps, coeff in P.terms:
-        e = [0] * nvars
-        for j, pos in enumerate(positions):
-            e[pos] = exps[j]
-        acc[tuple(e)] = coeff
-    return MultiPoly.from_dict(nvars, P.domain, acc)
+def _assemble(inst: QuinticInstance, suffixes: Sequence[tuple[int, ...]]) -> MultiPoly:
+    """x0^2*P3*m0 + x0*Q3*m1 + Q4*m2, with P3, Q3, Q4 at (x1, x2, x3) and m_k the monomial
+    of exponents `suffixes[k]` in the variables after x3.
+
+    The parts' x0 exponents fall 2, 1, 0 and each part's terms are in descending
+    lex order, so the concatenated terms are canonical: sorted and distinct.
+    """
+    parts = (inst.p3, inst.q3, inst.q4)
+    terms = tuple(
+        ((2 - k,) + e + suffix, c)
+        for k, (part, suffix) in enumerate(zip(parts, suffixes))
+        for e, c in part.terms
+    )
+    return MultiPoly(4 + len(suffixes[0]), inst.field, terms)
 
 
 def ambient_quintic(inst: QuinticInstance) -> MultiPoly:
     """x0^2*P3 + x0*x4*Q3 + x4*Q4 in variables x0..x4 (degree 5)."""
-    spec = inst.field
-    one = spec.one()
-    x0sq = MultiPoly.monomial(5, spec, (2, 0, 0, 0, 0), one)
-    x0x4 = MultiPoly.monomial(5, spec, (1, 0, 0, 0, 1), one)
-    x4 = MultiPoly.monomial(5, spec, (0, 0, 0, 0, 1), one)
-    pos = (1, 2, 3)
-    return (
-        x0sq * _scatter(inst.p3, 5, pos)
-        + x0x4 * _scatter(inst.q3, 5, pos)
-        + x4 * _scatter(inst.q4, 5, pos)
-    )
+    return _assemble(inst, ((0,), (1,), (1,)))
 
 
 def strict_transform(inst: QuinticInstance) -> MultiPoly:
     """x0^2*P3 + x0*x4*Q3 + x4*x5*Q4 in variables x0..x5 (bidegree (5, 2))."""
-    spec = inst.field
-    one = spec.one()
-    x0sq = MultiPoly.monomial(6, spec, (2, 0, 0, 0, 0, 0), one)
-    x0x4 = MultiPoly.monomial(6, spec, (1, 0, 0, 0, 1, 0), one)
-    x4x5 = MultiPoly.monomial(6, spec, (0, 0, 0, 0, 1, 1), one)
-    pos = (1, 2, 3)
-    return (
-        x0sq * _scatter(inst.p3, 6, pos)
-        + x0x4 * _scatter(inst.q3, 6, pos)
-        + x4x5 * _scatter(inst.q4, 6, pos)
-    )
+    return _assemble(inst, ((0, 0), (1, 0), (1, 1)))
 
 
 def blowdown(point6: Sequence) -> tuple:

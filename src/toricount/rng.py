@@ -37,10 +37,6 @@ class SplitMix64:
             raise ValueError("n must be positive")
         return self.next_u64() % n
 
-    def derive(self, index: int) -> "SplitMix64":
-        """Deterministic child stream for batch item `index` (seed-splitting)."""
-        return SplitMix64(self.next_tagged(index))
-
     def next_tagged(self, tag: int) -> int:
         """A 64-bit value determined by (current state, tag) without advancing self."""
         probe = SplitMix64((self._state ^ (tag * 0xD1342543DE82EF95)) & _MASK64)

@@ -150,6 +150,25 @@ def test_count_evaluates_the_grid_once(capsys, monkeypatch, tmp_path):
     assert payload["n_toric"] * 4 == payload["n_affine"] - payload["n_exceptional"]
 
 
+def test_count_computes_the_multidegree_once(capsys, monkeypatch, tmp_path):
+    from toricount import cli
+
+    path = tmp_path / "inst.json"
+    path.write_text(random_instance(F3, 4).to_json())
+    calls = []
+
+    def multidegree(P, G):
+        calls.append(P.nvars)
+        return real(P, G)
+
+    real = count_mod.multidegree
+    monkeypatch.setattr(count_mod, "multidegree", multidegree)
+    monkeypatch.setattr(cli, "multidegree", multidegree)
+    code, payload, _ = run_json(capsys, "count", "--field", "GF(3)", "--instance", str(path))
+    assert code == EXIT_PASS and payload["multidegree"] == [5, 2]
+    assert calls == [6]
+
+
 def test_count_requires_exactly_one_source(capsys, tmp_path):
     code, _, err = run(capsys, "count", "--field", "GF(2)", "--fan", "projective(2)")
     assert code == EXIT_INPUT

@@ -27,6 +27,8 @@ from toricount.errors import (
     HypothesisNotMet,
     NonEffectiveGrading,
     NonIntegralQuotient,
+    NotHomogeneous,
+    ToricountError,
     TorsionClassGroup,
 )
 from toricount.fan import (
@@ -292,7 +294,7 @@ def test_work_budget_covers_plan_and_strata(monkeypatch):
     # the affine and exceptional plans are charged together, before any evaluation
     F = parse("x0^2*x5 + x4^2*x5 + x1^2*x5^3 + x1*x2*x5^3 + x0*x3*x5^2", 6, spec)
     stats, affine = {}, {}
-    n_aff, n_exc, n_toric = count._toric_counts(F, BLOWUP, spec, DEFAULT_WORK_CAP, stats)
+    n_aff, n_exc, n_toric, _ = count._toric_counts(F, BLOWUP, spec, DEFAULT_WORK_CAP, stats)
     assert affine_count(F, spec, stats=affine) == n_aff
     strata = stats["points"] - affine["points"]
     assert strata > 0
@@ -312,6 +314,50 @@ def test_work_budget_covers_plan_and_strata(monkeypatch):
 def test_field_mismatch_rejected():
     with pytest.raises(FieldMismatch):
         affine_count(parse("x0", 1, F3), F2)
+
+
+P2 = builtin("projective(2)")
+
+#: every exact count, as (P, spec) -> count on projective(2) where it takes a space
+COUNTS = {
+    "affine": affine_count,
+    "exceptional": lambda P, spec: exceptional_on_hypersurface(P, P2, spec),
+    "quotient": lambda P, spec: toric_count_quotient(P, P2, spec),
+    "orbits": lambda P, spec: toric_count_orbits(P, P2, spec),
+}
+
+
+@pytest.mark.parametrize("name", list(COUNTS))
+def test_counts_reject_a_polynomial_over_another_field(name):
+    with pytest.raises(FieldMismatch):
+        COUNTS[name](parse("x0 + x1 + x2", 3, F3), F5)
+
+
+@pytest.mark.parametrize("name", ["exceptional", "quotient", "orbits"])
+@pytest.mark.parametrize("text", ["0", "x0 + x1"])
+def test_space_counts_reject_the_wrong_arity(name, text):
+    with pytest.raises(ToricountError):
+        COUNTS[name](parse(text, 2, F5), F5)
+
+
+@pytest.mark.parametrize("name", ["quotient", "orbits"])
+def test_toric_counts_check_homogeneity_before_the_field(name):
+    # the order of the checks fixes which error an input with several faults raises
+    with pytest.raises(NotHomogeneous):
+        COUNTS[name](parse("x0 + x1^2", 3, F3), F5)
+
+
+def test_check_esnault_computes_the_multidegree_once(monkeypatch):
+    calls = []
+
+    def multidegree(P, G):
+        calls.append(P.nvars)
+        return real(P, G)
+
+    real = count.multidegree
+    monkeypatch.setattr(count, "multidegree", multidegree)
+    rep = check_esnault(random_instance(F3, 4))
+    assert calls == [6] and rep.mu == 1
 
 
 # ---------------------------------------------------------------------------

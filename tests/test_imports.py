@@ -1,8 +1,10 @@
-"""Every name a module of the package imports is read somewhere in that module.
+"""Every name a module of the package imports is read somewhere in that module,
+and every private module-level name is read somewhere in the package.
 
-No linter ships with the project, so this is the unused-import check: an ast
-scan of src/toricount/*.py. A name counts as read if it appears as a loaded
-identifier, inside a string annotation, or in the module's ``__all__``.
+No linter ships with the project, so these are the unused-import and dead-helper
+checks: ast scans of src/toricount/*.py. A name counts as read if it appears as
+a loaded identifier, inside a string annotation, or in the module's ``__all__``;
+a private name also counts as read as an attribute (``count._toric_counts``).
 """
 
 import ast
@@ -66,3 +68,51 @@ def test_scan_sees_unused_and_annotation_only_names():
         "def f(x: 'Iterator[int]') -> None:\n    return j.dumps(x)\n"
     )
     assert set(imported_names(tree)) - read_names(tree) == {"os"}
+
+
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Private function, class or constant name -> index of its top-level statement."""
+    defs = {}
+    for k, node in enumerate(tree.body):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        defs.update((name, k) for name in targets if name.startswith("_") and not name.startswith("__"))
+    return defs
+
+
+def read_or_attribute_names(tree: ast.Module) -> set[str]:
+    attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return read_names(tree) | attributes
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Private module-level names that no statement but their own definition reads."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    unread = []
+    for name, tree in trees.items():
+        others = [read_or_attribute_names(t) for other, t in trees.items() if other != name]
+        elsewhere = set().union(*others)
+        for private, k in private_definitions(tree).items():
+            rest = ast.Module(body=tree.body[:k] + tree.body[k + 1:], type_ignores=[])
+            if private not in elsewhere | read_or_attribute_names(rest):
+                unread.append(f"{name}: {private}")
+    return unread
+
+
+def test_no_unread_private_names():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert unread_private_names(sources) == []
+
+
+def test_private_scan_sees_dead_and_self_recursive_helpers():
+    sources = {
+        "a.py": "_CAP = 3\n_LIVE = 4\ndef _dead(n):\n    return _dead(n - 1) + _CAP\n",
+        "b.py": "from . import a\nx = a._LIVE\nclass _Unused:\n    pass\n",
+    }
+    assert unread_private_names(sources) == ["a.py: _dead", "b.py: _Unused"]
