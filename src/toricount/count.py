@@ -30,7 +30,8 @@ boxes stay above that floor, instead of the grid F_q^6.
 The exceptional count is sum_U c_U * #Z(P|x_U=0) over unions U of strata, by
 inclusion-exclusion, and plans the restrictions P|x_U=0 like affine counts.
 Every exact count plans, charges its plan's points to the work cap, and only
-then evaluates; the orbit count canonicalizes the kernel's solutions.
+then evaluates. The orbit count evaluates a box that meets every torus orbit
+and canonicalizes the kernel's solutions there from per-axis digit tables.
 
 Congruence checks returned as :class:`CongruenceReport`:
 
@@ -579,9 +580,14 @@ def toric_count_orbits(
 ) -> int:
     """Number of torus orbits on {P = 0} minus the exceptional set.
 
-    Each solution is mapped to its canonical orbit representative (least
-    odometer code over all (q-1)^r group elements, worked out in log space);
-    the count is the number of distinct representatives.
+    The torus element mu scales x_i by g^shift_i(mu), shift_i(mu) = weights[i].mu
+    mod q-1. Coordinates j join a set J while the shifts on J take all
+    (q-1)^|J| values; then some mu scales every nonzero x_j (j in J) to 1, so
+    every orbit meets the box with x_j in {0, 1} for j in J, and only that box
+    is evaluated. Each solution in it is mapped to its canonical orbit
+    representative (least odometer code over all (q-1)^r torus elements, summed
+    from per-axis digit tables); the count is the number of distinct
+    representatives.
     """
     space = as_space(space_like)
     _toric_input(P, space, spec)
@@ -591,32 +597,41 @@ def toric_count_orbits(
     points = q ** rho
     if points > min(work_cap, _ORBIT_POINT_CAP):
         raise CapExceeded(f"{points} points exceed the orbit-enumeration cap")
-    # a torus element scales x_i by g^shift_i, which on logs is x -> scaled[log x + shift];
-    # 0 takes the log `zero`, past every shifted unit, and `scaled` maps it back to 0
+    mus = np.array(list(itertools.product(range(q - 1), repeat=G.r)))
+    shifts = mus @ np.array(G.weights).T % (q - 1)
+    # key numbers the shift tuples on J; j joins J when the tuples on J + [j] take every value
+    J: list[int] = []
+    key = np.zeros(len(shifts), dtype=np.int64)
+    for j in range(rho):
+        trial = key * (q - 1) + shifts[:, j]
+        if len(set(trial.tolist())) == (q - 1) ** (len(J) + 1):
+            J.append(j)
+            key = trial
     log, exp = log_tables(spec)
-    zero = 2 * (q - 1)
-    logs_of = np.where(log < 0, zero, log).astype(np.int32)
-    scaled = np.zeros(3 * (q - 1), dtype=np.int32)
-    scaled[:zero] = np.resize(exp, zero)
-    columns: list[list[np.ndarray]] = [[] for _ in range(rho)]
-    n = 0
-    for block, mask in _zero_masks(P, spec, [np.arange(q)] * rho):
-        keep = mask & ~_on_strata(block, space.exceptional.strata)
-        n += int(np.count_nonzero(keep))
-        for i, a in enumerate(block):
-            columns[i].append(np.broadcast_to(_axis_view(logs_of[a], i, rho), keep.shape)[keep])
-    if (q - 1) ** G.r * n > work_cap:
-        raise CapExceeded("orbit canonicalization exceeds the work cap")
-    logs = [np.concatenate(col) for col in columns]
-    best = None
-    for mu in itertools.product(range(q - 1), repeat=G.r):
-        code = np.zeros(n, dtype=np.int32)
-        for i, lg in enumerate(logs):
-            shift = sum(w * m for w, m in zip(G.weights[i], mu)) % (q - 1)
-            code = code * q + scaled[lg + shift]
-        best = code if best is None else np.minimum(best, code)
+    axes = [np.array([0, exp[0]]) if i in J else np.arange(q) for i in range(rho)]
+    # digit[s, a]: the element index of g^s * a (0 stays 0); table[i] weighs it as digit i
+    digit = exp[(log + np.arange(q - 1)[:, None]) % (q - 1)].astype(np.int32)
+    digit[:, 0] = 0
+    table = [digit * np.int32(q ** (rho - 1 - i)) for i in range(rho)]
     seen = np.zeros(points, dtype=bool)
-    seen[best] = True
+    charged = 0
+    for block, mask in _zero_masks(P, spec, axes):
+        where = np.nonzero(mask & ~_on_strata(block, space.exceptional.strata))
+        n = len(where[0])
+        charged += len(shifts) * n
+        if charged > work_cap:
+            raise CapExceeded("orbit canonicalization exceeds the work cap")
+        if not n:
+            continue
+        coords = [a[w] for a, w in zip(block, where)]
+        best = np.full(n, points, dtype=np.int32)
+        code = np.empty(n, dtype=np.int32)
+        for s in shifts.tolist():
+            code.fill(0)
+            for t, si, c in zip(table, s, coords):
+                code += t[si][c]
+            np.minimum(best, code, out=best)
+        seen[best] = True
     return int(np.count_nonzero(seen))
 
 

@@ -199,6 +199,7 @@ def test_criterion_5_quotient_equals_orbits(capsys):
         "blowup_p4_line": (5, 2),
     }
     fields = [make_field(2), make_field(3), make_field(2, 2)]
+    fields += [make_field(5), make_field(7), make_field(2, 3), make_field(3, 2)]
     for name, d in fan_degrees.items():
         sp = builtin(name)
         assert sp.fan is not None

@@ -327,6 +327,17 @@ COUNTS = {
 }
 
 
+def test_orbit_caps_charge_the_grid_and_the_canonicalized_solutions():
+    # the seen bitmap covers the 125-point grid; the box x0 in {0, 1} holds 49
+    # non-exceptional points, each canonicalized against 4 torus elements
+    zero = MultiPoly.zero(3, F5)
+    with pytest.raises(CapExceeded, match="orbit-enumeration cap"):
+        toric_count_orbits(zero, P2, F5, work_cap=124)
+    with pytest.raises(CapExceeded, match="orbit canonicalization exceeds the work cap"):
+        toric_count_orbits(zero, P2, F5, work_cap=195)
+    assert toric_count_orbits(zero, P2, F5, work_cap=196) == 31
+
+
 @pytest.mark.parametrize("name", list(COUNTS))
 def test_counts_reject_a_polynomial_over_another_field(name):
     with pytest.raises(FieldMismatch):
@@ -502,15 +513,55 @@ def test_weighted_grading_stabilizers():
     assert toric_count_quotient(P4, sp, F4) == toric_count_orbits(P4, sp, F4)
 
 
-@pytest.mark.parametrize("name", ["projective(2)", "blowup_p2", "weighted(1,1,2)"])
-def test_orbits_match_naive_orbit_sets(name):
-    sp = builtin(name)
+#: weights (2), (2): for odd q the shifts 2*mu of no coordinate take every value mod q-1,
+#: so the orbit count evaluates the whole grid
+EVEN_WEIGHTS = Space(
+    name="weights(2,2)",
+    grading=GradingData(rho=2, r=1, weights=((2,), (2,))),
+    exceptional=ExceptionalSet(strata=((0, 1),)),
+)
+
+
+@pytest.mark.parametrize(
+    "sp, fields",
+    [
+        pytest.param(builtin("projective(2)"), (F2, F3), id="projective(2)"),
+        pytest.param(builtin("blowup_p2"), (F2, F3), id="blowup_p2"),
+        # over GF(5) and GF(9) the weight 2 shares a factor with q-1: the box fixes x0 only
+        pytest.param(builtin("weighted(1,1,2)"), (F2, F3, F5, F9), id="weighted(1,1,2)"),
+        # the box fixes x0 and x1
+        pytest.param(BLOWUP, (F2, F3), id="blowup_p4_line"),
+        pytest.param(EVEN_WEIGHTS, (F3, F5), id="weights(2,2)"),
+    ],
+)
+def test_orbits_match_naive_orbit_sets(sp, fields):
     rng = SplitMix64(55)
-    for spec in (F2, F3):
+    for spec in fields:
         for _ in range(2):
             d = tuple(2 for _ in range(sp.grading.r))
             P = random_homogeneous(sp.grading, d, spec, rng)
             assert toric_count_orbits(P, sp, spec) == naive_toric_orbits(P, sp, spec)
+        zero = MultiPoly.zero(sp.grading.rho, spec)
+        assert toric_count_orbits(zero, sp, spec) == naive_toric_orbits(zero, sp, spec)
+
+
+@pytest.mark.parametrize(
+    "sp, lengths, orbits",
+    [(BLOWUP, [2, 2, 5, 5, 5, 5], 31 ** 2), (EVEN_WEIGHTS, [5, 5], 12)],
+    ids=["blowup_p4_line", "weights(2,2)"],
+)
+def test_orbit_count_evaluates_a_box_that_meets_every_orbit(monkeypatch, sp, lengths, orbits):
+    # the torus moves every nonzero x0, x1 of a blown-up P^4 point to 1; on EVEN_WEIGHTS over
+    # GF(5) it moves no coordinate to 1, so the box is the whole grid
+    evaluated = []
+
+    def spy(system, spec, axes):
+        evaluated.append([len(a) for a in axes])
+        return _zero_masks(system, spec, axes)
+
+    monkeypatch.setattr(count, "_zero_masks", spy)
+    assert toric_count_orbits(MultiPoly.zero(sp.grading.rho, F5), sp, F5) == orbits
+    assert evaluated == [lengths]
 
 
 def test_quotient_requires_free_grading():
