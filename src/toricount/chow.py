@@ -29,8 +29,8 @@ c <= 1); positivity holds for the pairing with the nef, big class u = x + v
 instead, which the acceptance suite checks.
 
 Classes are plain bivariate polynomials (variables x = x0 and v = x1 of the
-underlying representation); ``multiply`` and ``power`` never reduce — only
-``is_zero`` / ``normal_form`` consult the relations. The third display
+underlying representation); ``power`` and ``section_class`` never reduce —
+only ``is_zero`` / ``normal_form`` consult the relations. The third display
 generator u = x + v is eliminated on input and available for output via
 ``display_xu``.
 """
@@ -77,10 +77,6 @@ def class_v() -> MultiPoly:
     return MultiPoly.variable(1, 2, QQ)
 
 
-def class_u() -> MultiPoly:
-    return class_x() + class_v()
-
-
 @lru_cache(maxsize=None)
 def relations(spec: ChowRingSpec) -> tuple[MultiPoly, MultiPoly]:
     """(x^(3s+3), (x+v)^(2s+2) v^(s+1)) in expanded form."""
@@ -113,14 +109,23 @@ def class_degree(c: MultiPoly) -> int | None:
     return multidegree(c, standard_grading(2))[0]  # NotHomogeneous on mixed degrees
 
 
-def multiply(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    return a * b
-
-
 def power(a: MultiPoly, n: int) -> MultiPoly:
     if n < 0:
         raise InvalidParams(f"power must be >= 0, got {n}")
     return a ** n
+
+
+def section_class(E: int, v_shift: int = 0) -> MultiPoly:
+    """(5x+2v)^E * v^v_shift, built term by term from the binomial theorem.
+
+    The coefficient of x^(E-j) v^(j+v_shift) is the integer C(E, j) 5^(E-j) 2^j,
+    so no polynomial is multiplied.
+    """
+    if E < 0 or v_shift < 0:
+        raise InvalidParams(f"need E >= 0 and v_shift >= 0, got ({E}, {v_shift})")
+    return MultiPoly.from_dict(
+        2, QQ, {(E - j, j + v_shift): comb(E, j) * 5 ** (E - j) * 2 ** j for j in range(E + 1)}
+    )
 
 
 def display_xv(c: MultiPoly) -> str:
@@ -196,15 +201,6 @@ def is_zero(c: MultiPoly, spec: ChowRingSpec) -> bool:
     return ideal_membership(c, spec).in_ideal
 
 
-def check_cofactors(c: MultiPoly, spec: ChowRingSpec, result: MembershipResult) -> bool:
-    """Recompute c from the certificate by exact multiplication."""
-    if not result.in_ideal or result.cofactors is None:
-        return False
-    g1, g2 = relations(spec)
-    p, q = result.cofactors
-    return g1 * p + g2 * q == c
-
-
 def normal_form(c: MultiPoly, spec: ChowRingSpec) -> MultiPoly:
     """Canonical representative: the remainder of c on division by the Groebner basis.
 
@@ -233,22 +229,43 @@ def socle_dimension(spec: ChowRingSpec, degree: int | None = None) -> int:
 # the existence certificate
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TsenCertificate:
-    """Non-vanishing verdict for (5x+2v)^E in A_s plus the socle coefficient."""
+    """Non-vanishing verdict for (5x+2v)^E in A_s plus the socle coefficient.
+
+    Only s, c, E, default_E, nonzero, gamma and socle_dim are stored; the
+    other fields of ``to_dict`` are read-only properties derived from them:
+    within_socle (E <= 6s+4, the top degree), gamma_positive and
+    gamma_integral (None without gamma), equations (E) and unknowns (6s+6).
+    """
 
     s: int
     c: int
     E: int
     default_E: bool
     nonzero: bool
-    within_socle: bool
     gamma: Fraction | None
-    gamma_positive: bool | None
-    gamma_integral: bool | None
-    equations: int
-    unknowns: int
     socle_dim: int
+
+    @property
+    def within_socle(self) -> bool:
+        return self.E <= 6 * self.s + 4
+
+    @property
+    def gamma_positive(self) -> bool | None:
+        return None if self.gamma is None else self.gamma > 0
+
+    @property
+    def gamma_integral(self) -> bool | None:
+        return None if self.gamma is None else self.gamma.denominator == 1
+
+    @property
+    def equations(self) -> int:
+        return self.E
+
+    @property
+    def unknowns(self) -> int:
+        return 6 * self.s + 6
 
     def to_dict(self) -> dict:
         gamma: int | str | None
@@ -280,7 +297,9 @@ def tsen_certificate(s: int, c: int, E_override: int | None = None) -> TsenCerti
     E defaults to 5s+c+1. gamma is defined by
     (5x+2v)^E * v^(6s+4-E) = gamma * fundamental_class (mod ideal) and is
     extracted whenever the v-exponent 6s+4-E is nonnegative, else None.
-    Above the top degree A_s is zero, so the power is not formed there.
+    Both classes are formed from their binomial coefficients
+    (``section_class``). Above the top degree A_s is zero, so the power is
+    not formed there.
     """
     if s < 0 or c < 0:
         raise InvalidParams(f"need s >= 0 and c >= 0, got ({s}, {c})")
@@ -288,24 +307,17 @@ def tsen_certificate(s: int, c: int, E_override: int | None = None) -> TsenCerti
     if E <= 0:
         raise InvalidParams(f"exponent E must be >= 1, got {E}")
     spec = ChowRingSpec(s)
-    within_socle = E <= spec.top_degree
     nonzero, gamma = False, None
-    if within_socle:
-        HE = hyperplane_class(5, 2) ** E
-        nonzero = not is_zero(HE, spec)
-        gamma = _socle_coefficient(HE * class_v() ** (spec.top_degree - E), spec)
+    if E <= spec.top_degree:
+        nonzero = not is_zero(section_class(E), spec)
+        gamma = _socle_coefficient(section_class(E, spec.top_degree - E), spec)
     return TsenCertificate(
         s=s,
         c=c,
         E=E,
         default_E=E_override is None,
         nonzero=nonzero,
-        within_socle=within_socle,
         gamma=gamma,
-        gamma_positive=None if gamma is None else gamma > 0,
-        gamma_integral=None if gamma is None else gamma.denominator == 1,
-        equations=E,
-        unknowns=6 * s + 6,
         socle_dim=socle_dimension(spec),
     )
 

@@ -7,7 +7,9 @@ fibers over (x1, x2, x3), the exceptional set by inclusion-exclusion over its
 strata, zeros on the exceptional set point by point, fan gradings by sympy's Smith and Hermite
 normal forms, and the ring A_s by sympy's Groebner basis for grevlex with
 x > v (the library divides for v > x), by the Gorenstein-trace recurrence and
-by its closed form for gamma.
+by its closed form for gamma. The Chow-ring helpers that only tests use
+(the class u = x + v, products of classes, and the recomputation of a
+membership certificate from its cofactors) live here too.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import sympy
 from sympy import Matrix
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_decomp
 
+from toricount.chow import ChowRingSpec, MembershipResult, class_v, class_x, relations
 from toricount.count import _zero_masks
 from toricount.errors import (
     InvalidParams,
@@ -240,6 +243,24 @@ def closed_form_gamma(s: int, c: int, E: int | None = None) -> Fraction | None:
         comb(E, j) * 5 ** j * 2 ** (E - j) * (-1) ** (n - j) * comb(2 * s + 1 + n - j, n - j)
         for j in range(min(E, n) + 1)
     ))
+
+
+def class_u() -> MultiPoly:
+    """The second ruling class u = x + v of A_s."""
+    return class_x() + class_v()
+
+
+def multiply(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    return a * b
+
+
+def check_cofactors(c: MultiPoly, spec: ChowRingSpec, result: MembershipResult) -> bool:
+    """Recompute c from the membership certificate by exact multiplication."""
+    if not result.in_ideal or result.cofactors is None:
+        return False
+    g1, g2 = relations(spec)
+    p, q = result.cofactors
+    return g1 * p + g2 * q == c
 
 
 def union_subspace_count(space: Space, q: int) -> int:

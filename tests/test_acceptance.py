@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from toricount.chow import (
     ChowRingSpec,
-    class_u,
     fundamental_class,
     hyperplane_class,
     normal_form,
@@ -36,7 +35,7 @@ from toricount.poly import MultiPoly, parse, random_homogeneous, standard_gradin
 from toricount.quintic import pullback_identity_check, random_batch, random_instance
 from toricount.rng import SplitMix64
 
-from oracles import blowup_fiber_count, groebner_gamma
+from oracles import blowup_fiber_count, class_u, groebner_gamma
 
 
 def _report(capsys, label, ok, elapsed, budget):

@@ -7,9 +7,7 @@ from hypothesis import given, settings, strategies as st
 from toricount.chow import (
     ChowRingSpec,
     TsenCertificate,
-    check_cofactors,
     class_degree,
-    class_u,
     class_v,
     class_x,
     dimension_count,
@@ -20,10 +18,10 @@ from toricount.chow import (
     ideal_membership,
     is_zero,
     min_section_degree,
-    multiply,
     normal_form,
     power,
     relations,
+    section_class,
     socle_dimension,
     tsen_certificate,
 )
@@ -32,10 +30,13 @@ from toricount.poly import QQ, MultiPoly, parse
 from toricount.rng import SplitMix64
 
 from oracles import (
+    check_cofactors,
+    class_u,
     closed_form_gamma,
     groebner_gamma,
     groebner_hilbert,
     groebner_is_zero,
+    multiply,
     trace_gamma,
 )
 
@@ -92,6 +93,19 @@ def test_power_and_degree():
     assert class_degree(multiply(H, V)) == 2
     with pytest.raises(NotHomogeneous):
         class_degree(X + power(V, 2))
+
+
+def test_section_class_matches_repeated_squaring():
+    # the binomial construction against chow.power, which squares repeatedly
+    H = hyperplane_class(5, 2)
+    assert section_class(0) == MultiPoly.constant(2, QQ, 1)
+    for E in range(1, 80):
+        assert section_class(E) == power(H, E), E
+    for E, k in ((1, 3), (7, 5), (40, 9)):
+        assert section_class(E, k) == power(H, E) * power(V, k), (E, k)
+    for bad in ((-1, 0), (2, -1)):
+        with pytest.raises(InvalidParams):
+            section_class(*bad)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +254,7 @@ def test_gamma_matches_groebner_oracle(s, c):
     assert groebner_gamma(s, c) == FROZEN_GAMMA[(s, c)]
 
 
-@pytest.mark.parametrize("s", range(13))
+@pytest.mark.parametrize("s", [*range(13), 20, 30, 40])
 def test_certificate_matches_trace_oracle(s):
     # the Gorenstein-trace recurrence shares no code with the division and
     # reaches s where the sympy oracle is too slow
@@ -356,7 +370,22 @@ def test_dimension_count_validation():
 
 
 def test_certificate_dataclass_shape():
-    cert = tsen_certificate(0, 2)
-    assert isinstance(cert, TsenCertificate)
-    d = cert.to_dict()
-    assert {"s", "c", "E", "nonzero", "within_socle", "gamma", "socle_dim"} <= set(d)
+    keys = [
+        "s", "c", "E", "default_E", "nonzero", "within_socle", "gamma",
+        "gamma_positive", "gamma_integral", "equations", "unknowns", "socle_dim",
+    ]
+    for s in range(13):
+        for c in range(6):
+            cert = tsen_certificate(s, c)
+            assert isinstance(cert, TsenCertificate)
+            # slotted: a retained certificate carries no per-instance __dict__
+            assert not hasattr(cert, "__dict__")
+            assert cert.within_socle is (cert.E <= 6 * s + 4)
+            if cert.gamma is None:
+                assert cert.gamma_positive is None and cert.gamma_integral is None
+            else:
+                assert cert.gamma_positive is (cert.gamma > 0)
+                assert cert.gamma_integral is (cert.gamma.denominator == 1)
+            assert cert.equations == cert.E == 5 * s + c + 1
+            assert cert.unknowns == 6 * s + 6
+            assert list(cert.to_dict()) == keys
