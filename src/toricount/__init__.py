@@ -18,7 +18,6 @@ from .chow import (
     dimension_count,
     hyperplane_class,
     is_zero,
-    min_section_degree,
     tsen_certificate,
 )
 from .count import (
@@ -64,7 +63,6 @@ __all__ = [
     "is_zero",
     "make_fan",
     "make_field",
-    "min_section_degree",
     "multidegree",
     "parse",
     "parse_field_name",

@@ -78,14 +78,6 @@ def class_v() -> MultiPoly:
 
 
 @lru_cache(maxsize=None)
-def relations(spec: ChowRingSpec) -> tuple[MultiPoly, MultiPoly]:
-    """(x^(3s+3), (x+v)^(2s+2) v^(s+1)) in expanded form."""
-    s = spec.s
-    x, v = class_x(), class_v()
-    return (x ** (3 * s + 3), (x + v) ** (2 * s + 2) * v ** (s + 1))
-
-
-@lru_cache(maxsize=None)
 def fundamental_class(spec: ChowRingSpec) -> MultiPoly:
     """x^(3s+2) (x+v)^(2s+2) v^s — spans the socle in degree 6s+4."""
     s = spec.s
@@ -332,16 +324,6 @@ def _socle_coefficient(target: MultiPoly, spec: ChowRingSpec) -> Fraction:
     socle = (spec.relation_degree - 1,) * 2
     assert normal_form(fundamental_class(spec), spec).as_dict() == {socle: 1}
     return Fraction(normal_form(target, spec).as_dict().get(socle, 0))
-
-
-def min_section_degree(c: int, s_max: int) -> int | None:
-    """Least s <= s_max whose certificate is nonzero, or None."""
-    if c < 0 or s_max < 0:
-        raise InvalidParams(f"need c >= 0 and s_max >= 0, got ({c}, {s_max})")
-    for s in range(s_max + 1):
-        if tsen_certificate(s, c).nonzero:
-            return s
-    return None
 
 
 # --------------------------------------------------------------------------

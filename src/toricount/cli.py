@@ -9,8 +9,10 @@ Subcommands
 * ``quintic random|show``   — instance generation and pretty-printing
 * ``chow certify|sweep``    — existence certificates and socle data
 
-Output is a human table by default; ``--format json`` is the machine
-interface and is byte-identical across reruns for the same arguments
+Every leaf command takes ``--format`` and ``--out``; ``count`` and
+``verify`` also take ``--work-cap`` and ``--stats``, and ``verify`` takes
+``--timing``. Output is a human table by default; ``--format json`` is the
+machine interface and is byte-identical across reruns for the same arguments
 (timings only appear under ``--timing``, and what the counts evaluated
 only under ``--stats``). Exit codes: 0 all checks pass,
 1 at least one congruence/certificate failed, 2 usage or input error.
@@ -396,7 +398,9 @@ def cmd_chow(args: argparse.Namespace) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("table", "json", "csv"), default="table")
     p.add_argument("--out", default=None, help="write output to this path instead of stdout")
-    p.add_argument("--timing", action="store_true", help="include wall-clock fields in output")
+
+
+def _add_work_cap(p: argparse.ArgumentParser) -> None:
     p.add_argument("--work-cap", type=int, default=count.DEFAULT_WORK_CAP,
                    help="evaluation budget override")
 
@@ -438,22 +442,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", default=None, help="instance JSON file (strict transform)")
     p.add_argument("--stats", action="store_true", help=_STATS_HELP)
     _add_common(p)
+    _add_work_cap(p)
 
     p = sub.add_parser("verify", help="congruence checks over single inputs or batches")
     vsub = p.add_subparsers(dest="subcommand", required=True)
     for name in ("cw", "ax", "esnault"):
         vp = vsub.add_parser(name)
         vp.add_argument("--field", required=True)
-        vp.add_argument("--fan", default=None)
-        vp.add_argument("--poly", default=None)
-        vp.add_argument("--instance", default=None)
+        if name == "esnault":
+            vp.add_argument("--instance", default=None)
+        else:
+            vp.add_argument("--fan", default=None)
+            vp.add_argument("--poly", default=None)
+            vp.add_argument("--degree", type=_degree_tuple, default=None,
+                            help="multidegree d1,...,dr for random batches on general fans")
         vp.add_argument("--batch", type=int, default=None)
         vp.add_argument("--seed", type=int, default=None)
-        vp.add_argument("--degree", type=_degree_tuple, default=None,
-                        help="multidegree d1,...,dr for random batches on general fans")
         vp.add_argument("--policy", choices=quintic.NONZERO_POLICIES, default="any")
         vp.add_argument("--stats", action="store_true", help=_STATS_HELP)
         _add_common(vp)
+        vp.add_argument("--timing", action="store_true", help="include wall-clock fields in output")
+        _add_work_cap(vp)
 
     p = sub.add_parser("quintic", help="instance generation and inspection")
     qsub = p.add_subparsers(dest="subcommand", required=True)

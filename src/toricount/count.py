@@ -148,24 +148,6 @@ class CongruenceReport:
 
 
 # --------------------------------------------------------------------------
-# space / grading coercion
-# --------------------------------------------------------------------------
-
-def as_space(obj) -> Space:
-    if isinstance(obj, Space):
-        return obj
-    raise InvalidParams(f"expected a Space, got {type(obj).__name__}")
-
-
-def as_grading(obj) -> GradingData:
-    if isinstance(obj, GradingData):
-        return obj
-    if isinstance(obj, Space):
-        return obj.grading
-    raise InvalidParams(f"expected a GradingData or Space, got {type(obj).__name__}")
-
-
-# --------------------------------------------------------------------------
 # the zero-mask kernel
 # --------------------------------------------------------------------------
 
@@ -432,16 +414,6 @@ def _combination(box: Box, chosen: dict, combos: dict, stats: dict | None) -> di
     return combos[box]
 
 
-def _plan_points(plan: dict[Box, int], q: int) -> int:
-    """Points the kernel evaluates for a plan."""
-    return sum(q ** m for m, system in plan if system)
-
-
-def _charge(points: int, work_cap: int) -> None:
-    if points > work_cap:
-        raise CapExceeded(f"{points} evaluations exceed the work cap {work_cap}")
-
-
 def _run_plan(plan: dict[Box, int], spec: FieldSpec, stats: dict | None = None) -> int:
     if stats is not None:
         _tally(stats)
@@ -459,6 +431,24 @@ def _run_plan(plan: dict[Box, int], spec: FieldSpec, stats: dict | None = None) 
     return total
 
 
+def _count(
+    root_lists: Sequence[Sequence[tuple[int, MultiPoly]]],
+    spec: FieldSpec,
+    work_cap: int,
+    stats: dict | None = None,
+) -> list[int]:
+    """sum k*#Z(P) over the roots (k, P) of each list, over F_q.
+
+    Every list is planned, and the points of all the plans are charged to the
+    work cap together, before anything is evaluated.
+    """
+    plans = [_plan(roots, spec.q, stats) for roots in root_lists]
+    points = sum(spec.q ** m for plan in plans for m, system in plan if system)
+    if points > work_cap:
+        raise CapExceeded(f"{points} evaluations exceed the work cap {work_cap}")
+    return [_run_plan(plan, spec, stats) for plan in plans]
+
+
 def affine_count(
     P: MultiPoly,
     spec: FieldSpec,
@@ -472,9 +462,7 @@ def affine_count(
     when given, gains the rules that fired and the points evaluated.
     """
     _check_poly_field(P, spec)
-    plan = _plan([(1, P)], spec.q, stats)
-    _charge(_plan_points(plan, spec.q), work_cap)
-    return _run_plan(plan, spec, stats)
+    return _count([[(1, P)]], spec, work_cap, stats)[0]
 
 
 def _strata_roots(P: MultiPoly, space: Space) -> list[tuple[int, MultiPoly]]:
@@ -497,7 +485,7 @@ def _strata_roots(P: MultiPoly, space: Space) -> list[tuple[int, MultiPoly]]:
 
 def exceptional_on_hypersurface(
     P: MultiPoly,
-    space_like,
+    space: Space,
     spec: FieldSpec,
     *,
     work_cap: int = DEFAULT_WORK_CAP,
@@ -506,11 +494,8 @@ def exceptional_on_hypersurface(
 
     The work cap bounds the points of the boxes the plan evaluates.
     """
-    space = as_space(space_like)
     _check_space_poly(P, space, spec)
-    plan = _plan(_strata_roots(P, space), spec.q)
-    _charge(_plan_points(plan, spec.q), work_cap)
-    return _run_plan(plan, spec)
+    return _count([_strata_roots(P, space)], spec, work_cap)[0]
 
 
 def _check_space_poly(P: MultiPoly, space: Space, spec: FieldSpec) -> None:
@@ -554,11 +539,7 @@ def _toric_counts(
     """
     G = space.grading
     degree = _toric_input(P, space, spec)
-    affine = _plan([(1, P)], spec.q, stats)
-    exceptional = _plan(_strata_roots(P, space), spec.q, stats)
-    _charge(_plan_points(affine, spec.q) + _plan_points(exceptional, spec.q), work_cap)
-    n_aff = _run_plan(affine, spec, stats)
-    n_exc = _run_plan(exceptional, spec, stats)
+    n_aff, n_exc = _count([[(1, P)], _strata_roots(P, space)], spec, work_cap, stats)
     denom = (spec.q - 1) ** G.r
     diff = n_aff - n_exc
     if diff % denom:
@@ -569,14 +550,14 @@ def _toric_counts(
 
 
 def toric_count_quotient(
-    P: MultiPoly, space_like, spec: FieldSpec, *, work_cap: int = DEFAULT_WORK_CAP
+    P: MultiPoly, space: Space, spec: FieldSpec, *, work_cap: int = DEFAULT_WORK_CAP
 ) -> int:
     """(N_affine - N_exceptional) / (q-1)^r with exact divisibility enforced."""
-    return _toric_counts(P, as_space(space_like), spec, work_cap)[2]
+    return _toric_counts(P, space, spec, work_cap)[2]
 
 
 def toric_count_orbits(
-    P: MultiPoly, space_like, spec: FieldSpec, *, work_cap: int = DEFAULT_WORK_CAP
+    P: MultiPoly, space: Space, spec: FieldSpec, *, work_cap: int = DEFAULT_WORK_CAP
 ) -> int:
     """Number of torus orbits on {P = 0} minus the exceptional set.
 
@@ -589,7 +570,6 @@ def toric_count_orbits(
     from per-axis digit tables); the count is the number of distinct
     representatives.
     """
-    space = as_space(space_like)
     _toric_input(P, space, spec)
     G = space.grading
     q = spec.q
@@ -653,7 +633,7 @@ def _report(
 
 def check_cw(
     P: MultiPoly,
-    grading_like,
+    G: GradingData,
     spec: FieldSpec,
     *,
     work_cap: int = DEFAULT_WORK_CAP,
@@ -661,7 +641,6 @@ def check_cw(
 ) -> CongruenceReport:
     """N ≡ 0 (mod p) whenever some degree bound d_j is below the weight sum a_j."""
     start = time.monotonic()
-    G = as_grading(grading_like)
     _require_free_effective(G)
     d = degree_bounds(P, G)
     a = total_generator_degree(G)
@@ -686,7 +665,7 @@ def check_cw_projective(
 
 def check_ax(
     P: MultiPoly,
-    grading_like,
+    G: GradingData,
     spec: FieldSpec,
     *,
     work_cap: int = DEFAULT_WORK_CAP,
@@ -694,7 +673,6 @@ def check_ax(
 ) -> CongruenceReport:
     """q^mu | N with mu computed from the grading and the degree bounds."""
     start = time.monotonic()
-    G = as_grading(grading_like)
     _require_free_effective(G)
     d = degree_bounds(P, G)
     mu = ax_exponent(G, d)
@@ -719,17 +697,14 @@ def blowup_p4_space() -> Space:
 
 def check_esnault(
     inst: "quintic_mod.QuinticInstance",
-    spec: FieldSpec | None = None,
     *,
     work_cap: int = DEFAULT_WORK_CAP,
     stats: dict | None = None,
 ) -> CongruenceReport:
-    """Quotient count of the blown-up quintic ≡ 1 (mod q); records the q | N verdict."""
+    """Quotient count of the blown-up quintic ≡ 1 (mod q) over the instance's field;
+    records the q | N verdict."""
     start = time.monotonic()
-    if spec is None:
-        spec = inst.field
-    elif spec != inst.field:
-        raise FieldMismatch(f"instance over {inst.field.name}, check over {spec.name}")
+    spec = inst.field
     space = blowup_p4_space()
     P = quintic_mod.strict_transform(inst)
     n_aff, n_exc, n_toric, d = _toric_counts(P, space, spec, work_cap, stats)

@@ -456,10 +456,3 @@ def parse_fan_text(text: str) -> Fan:
     if dim is None:
         raise InvalidParams("missing `dim` line")
     return make_fan(dim, rays, cones)
-
-
-def fan_to_text(fan: Fan) -> str:
-    lines = [f"dim {fan.dim}"]
-    lines += ["ray " + " ".join(str(x) for x in ray) for ray in fan.rays]
-    lines += ["cone " + " ".join(str(i) for i in cone) for cone in fan.max_cones]
-    return "\n".join(lines) + "\n"

@@ -24,7 +24,7 @@ import sympy
 from sympy import Matrix
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_decomp
 
-from toricount.chow import ChowRingSpec, MembershipResult, class_v, class_x, relations
+from toricount.chow import ChowRingSpec, MembershipResult, class_v, class_x
 from toricount.count import _zero_masks
 from toricount.errors import (
     InvalidParams,
@@ -243,6 +243,13 @@ def closed_form_gamma(s: int, c: int, E: int | None = None) -> Fraction | None:
         comb(E, j) * 5 ** j * 2 ** (E - j) * (-1) ** (n - j) * comb(2 * s + 1 + n - j, n - j)
         for j in range(min(E, n) + 1)
     ))
+
+
+def relations(spec: ChowRingSpec) -> tuple[MultiPoly, MultiPoly]:
+    """The generators (x^(3s+3), (x+v)^(2s+2) v^(s+1)) of the ideal of A_s, expanded."""
+    s = spec.s
+    x, v = class_x(), class_v()
+    return (x ** (3 * s + 3), (x + v) ** (2 * s + 2) * v ** (s + 1))
 
 
 def class_u() -> MultiPoly:

@@ -17,10 +17,8 @@ from toricount.chow import (
     hyperplane_class,
     ideal_membership,
     is_zero,
-    min_section_degree,
     normal_form,
     power,
-    relations,
     section_class,
     socle_dimension,
     tsen_certificate,
@@ -37,6 +35,7 @@ from oracles import (
     groebner_hilbert,
     groebner_is_zero,
     multiply,
+    relations,
     trace_gamma,
 )
 
@@ -326,20 +325,6 @@ def test_gamma_sign_pattern():
                 signs[(s, c)] = cert.gamma > 0
     for (s, c), positive in signs.items():
         assert positive is (c >= 2), ((s, c), positive)
-
-
-def test_min_section_degree():
-    assert min_section_degree(0, 2) == 0
-    assert min_section_degree(2, 4) == 0
-    assert min_section_degree(8, 4) is None  # 5s+9 > 6s+4 for all s <= 4
-    for bad in ((0, -1), (0, -5), (-1, 2)):
-        with pytest.raises(InvalidParams):
-            min_section_degree(*bad)
-    for c in range(4):
-        s0 = min_section_degree(c, 3)
-        assert s0 is not None
-        for s in range(s0, 4):
-            assert tsen_certificate(s, c).nonzero
 
 
 # ---------------------------------------------------------------------------

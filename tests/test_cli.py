@@ -295,8 +295,8 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     # hold), so fake one report to exercise the failure path and exit code
     real = count_mod.check_esnault
 
-    def flipped(inst, spec=None, **kw):
-        rep = real(inst, spec, **kw)
+    def flipped(inst, **kw):
+        rep = real(inst, **kw)
         return CongruenceReport(
             kind=rep.kind, q=rep.q, p=rep.p, f=rep.f, n_affine=rep.n_affine,
             modulus=rep.modulus, residue=rep.residue, passed=False,
@@ -352,6 +352,29 @@ def test_quintic_random_needs_seed_and_field(capsys):
     capsys.readouterr()
 
 
+# a command accepts only the options it reads
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "esnault", "--field", "GF(3)", "--batch", "1", "--seed", "1", "--poly", "x0"],
+        ["verify", "esnault", "--field", "GF(3)", "--batch", "1", "--seed", "1",
+         "--fan", "projective(2)"],
+        ["verify", "esnault", "--field", "GF(3)", "--batch", "1", "--seed", "1", "--degree", "2"],
+        ["verify", "cw", "--field", "GF(3)", "--batch", "1", "--seed", "1", "--instance", "x"],
+        ["count", "--field", "GF(5)", "--fan", "projective(2)", "--poly", "x0", "--timing"],
+        ["chow", "sweep", "--c", "0", "--s-max", "1", "--work-cap", "10"],
+        ["fan", "list", "--timing"],
+    ],
+    ids=["esnault-poly", "esnault-fan", "esnault-degree", "cw-instance", "count-timing",
+         "sweep-work-cap", "fan-timing"],
+)
+def test_unread_options_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as ei:
+        main(argv)
+    assert ei.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # chow
 # ---------------------------------------------------------------------------
@@ -391,6 +414,17 @@ def test_chow_sweep(capsys):
     assert payload["min_s"] == 0
     assert len(payload["certificates"]) == 4
     assert all(cert["nonzero"] for cert in payload["certificates"])
+    # min_s is the least s with a nonzero certificate, and null when there is none:
+    # for c = 8, E = 5s+9 exceeds the top degree 6s+4 at every s <= 4
+    for c, s_max, min_s in ((0, 2, 0), (8, 4, None)):
+        code, payload, _ = run_json(capsys, "chow", "sweep", "--c", str(c), "--s-max", str(s_max))
+        assert code == EXIT_PASS and payload["min_s"] == min_s
+    for c in range(4):  # every certificate from min_s on is nonzero
+        _, payload, _ = run_json(capsys, "chow", "sweep", "--c", str(c), "--s-max", "3")
+        nonzero = [cert["nonzero"] for cert in payload["certificates"]]
+        assert payload["min_s"] is not None and all(nonzero[payload["min_s"]:])
+    code, out, err = run(capsys, "chow", "sweep", "--c", "-1", "--s-max", "4")
+    assert code == EXIT_INPUT and out == "" and "c >= 0" in err
 
 
 def test_chow_invalid_params(capsys):

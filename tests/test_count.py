@@ -613,7 +613,7 @@ def fermat_strict(spec):
 
 def test_check_cw_blowup():
     P = strict_transform(fermat_strict(F2))
-    rep = check_cw(P, BLOWUP, F2)
+    rep = check_cw(P, BLOWUP.grading, F2)
     assert rep.passed and rep.kind == "CW"
     assert rep.modulus == 2 and rep.residue == 0 and rep.n_affine % 2 == 0
     assert degree_bounds(P, BLOWUP.grading) == (5, 2)
@@ -629,7 +629,7 @@ def test_check_cw_rejects_large_degree():
 def test_check_cw_weighted_double_cover(spec):
     wsp = builtin("weighted(1,1,1,1,1,2)")
     P = parse("x5^2 - (x0^5 + x1^5 + x2^5 + x3^5 + x4^5 + x0*x1*x2*x3*x4)", 6, spec)
-    rep = check_cw(P, wsp, spec)
+    rep = check_cw(P, wsp.grading, spec)
     assert rep.passed
 
 
@@ -648,7 +648,7 @@ def test_check_cw_projective():
 
 
 def test_check_ax():
-    rep = check_ax(strict_transform(fermat_strict(F4)), BLOWUP, F4)
+    rep = check_ax(strict_transform(fermat_strict(F4)), BLOWUP.grading, F4)
     assert rep.passed and rep.mu == 1 and rep.modulus == 4
     P = random_homogeneous(standard_grading(5), (3,), F3, SplitMix64(77))
     rep2 = check_ax(P, standard_grading(5), F3)

@@ -24,7 +24,6 @@ from toricount.fan import (
     _invariant_factors,
     builtin,
     exceptional_set,
-    fan_to_text,
     grading_from_fan,
     make_fan,
     parse_fan_text,
@@ -272,7 +271,10 @@ def test_weights_canonical_up_to_column_basis():
 
 def test_fan_text_round_trip():
     for fan in (projective_fan(2), blowup_p2_fan(), blowup_p4_line_fan()):
-        text = fan_to_text(fan)
+        lines = [f"dim {fan.dim}"]
+        lines += ["ray " + " ".join(map(str, ray)) for ray in fan.rays]
+        lines += ["cone " + " ".join(map(str, cone)) for cone in fan.max_cones]
+        text = "\n".join(lines) + "\n"
         back = parse_fan_text(text)
         assert back == fan
 

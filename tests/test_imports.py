@@ -1,10 +1,12 @@
 """Every name a module of the package imports is read somewhere in that module,
-and every private module-level name is read somewhere in the package.
+every private module-level name is read somewhere in the package, and every
+public one by production code, the package's ``__all__`` or the acceptance
+criteria.
 
 No linter ships with the project, so these are the unused-import and dead-helper
 checks: ast scans of src/toricount/*.py. A name counts as read if it appears as
 a loaded identifier, inside a string annotation, or in the module's ``__all__``;
-a private name also counts as read as an attribute (``count._toric_counts``).
+a module-level name also counts as read as an attribute (``count._toric_counts``).
 """
 
 import ast
@@ -12,7 +14,8 @@ import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "toricount"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "toricount"
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -70,8 +73,8 @@ def test_scan_sees_unused_and_annotation_only_names():
     assert set(imported_names(tree)) - read_names(tree) == {"os"}
 
 
-def private_definitions(tree: ast.Module) -> dict[str, int]:
-    """Private function, class or constant name -> index of its top-level statement."""
+def definitions(tree: ast.Module, public: bool = False) -> dict[str, int]:
+    """Private (or public) function, class or constant name -> index of its top-level statement."""
     defs = {}
     for k, node in enumerate(tree.body):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -82,7 +85,10 @@ def private_definitions(tree: ast.Module) -> dict[str, int]:
             targets = [node.target.id]
         else:
             continue
-        defs.update((name, k) for name in targets if name.startswith("_") and not name.startswith("__"))
+        defs.update(
+            (name, k) for name in targets
+            if name.startswith("_") != public and not name.startswith("__")
+        )
     return defs
 
 
@@ -91,23 +97,41 @@ def read_or_attribute_names(tree: ast.Module) -> set[str]:
     return read_names(tree) | attributes
 
 
-def unread_private_names(sources: dict[str, str]) -> list[str]:
-    """Private module-level names that no statement but their own definition reads."""
+def unread_names(
+    sources: dict[str, str], readers: dict[str, str] | None = None, public: bool = False
+) -> list[str]:
+    """Private (or public) module-level names of `sources` that no statement but their
+    own definition reads, in `sources` or in `readers`."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
+    outside = [read_or_attribute_names(ast.parse(text)) for text in (readers or {}).values()]
     unread = []
     for name, tree in trees.items():
         others = [read_or_attribute_names(t) for other, t in trees.items() if other != name]
-        elsewhere = set().union(*others)
-        for private, k in private_definitions(tree).items():
+        elsewhere = set().union(*others, *outside)
+        for defined, k in definitions(tree, public).items():
             rest = ast.Module(body=tree.body[:k] + tree.body[k + 1:], type_ignores=[])
-            if private not in elsewhere | read_or_attribute_names(rest):
-                unread.append(f"{name}: {private}")
+            if defined not in elsewhere | read_or_attribute_names(rest):
+                unread.append(f"{name}: {defined}")
     return unread
 
 
+def package_sources() -> dict[str, str]:
+    return {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+
+
 def test_no_unread_private_names():
-    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
-    assert unread_private_names(sources) == []
+    assert unread_names(package_sources()) == []
+
+
+def test_no_unread_public_names():
+    # the package's __init__ is a source, so a name in its __all__ counts as read
+    paths = [
+        *sorted((ROOT / "scripts").glob("*.py")),
+        *sorted((ROOT / "perfbench").glob("*.py")),
+        ROOT / "tests" / "test_acceptance.py",
+    ]
+    readers = {str(path): path.read_text(encoding="utf-8") for path in paths}
+    assert unread_names(package_sources(), readers, public=True) == []
 
 
 def test_private_scan_sees_dead_and_self_recursive_helpers():
@@ -115,4 +139,14 @@ def test_private_scan_sees_dead_and_self_recursive_helpers():
         "a.py": "_CAP = 3\n_LIVE = 4\ndef _dead(n):\n    return _dead(n - 1) + _CAP\n",
         "b.py": "from . import a\nx = a._LIVE\nclass _Unused:\n    pass\n",
     }
-    assert unread_private_names(sources) == ["a.py: _dead", "b.py: _Unused"]
+    assert unread_names(sources) == ["a.py: _dead", "b.py: _Unused"]
+
+
+def test_public_scan_sees_names_only_their_own_definition_reads():
+    sources = {
+        "__init__.py": "from .a import api\n__all__ = ['api']\n",
+        "a.py": "def api():\n    return helper()\ndef helper():\n    return 1\n"
+        "def dead(n):\n    return dead(n - 1)\nTABLE = 3\nBENCH = 4\n",
+    }
+    readers = {"bench.py": "from toricount import a\nprint(a.BENCH)\n"}
+    assert unread_names(sources, readers, public=True) == ["a.py: dead", "a.py: TABLE"]
