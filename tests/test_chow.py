@@ -1,3 +1,4 @@
+import json
 import time
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from toricount.chow import (
     socle_dimension,
     tsen_certificate,
 )
+from toricount.cli import EXIT_INPUT, EXIT_PASS, main
 from toricount.errors import InvalidParams, NotHomogeneous
 from toricount.poly import QQ, MultiPoly, parse
 from toricount.rng import SplitMix64
@@ -325,6 +327,26 @@ def test_gamma_sign_pattern():
                 signs[(s, c)] = cert.gamma > 0
     for (s, c), positive in signs.items():
         assert positive is (c >= 2), ((s, c), positive)
+
+
+def sweep_min_s(capsys, c, s_max):
+    code = main(["chow", "sweep", "--c", str(c), "--s-max", str(s_max), "--format", "json"])
+    out = capsys.readouterr().out
+    return code, (json.loads(out)["min_s"] if code == EXIT_PASS else None)
+
+
+def test_min_section_degree(capsys):
+    # `chow sweep` reports min_s, the least s <= s_max with a nonzero certificate
+    assert sweep_min_s(capsys, 0, 2) == (EXIT_PASS, 0)
+    assert sweep_min_s(capsys, 2, 4) == (EXIT_PASS, 0)
+    assert sweep_min_s(capsys, 8, 4) == (EXIT_PASS, None)  # 5s+9 > 6s+4 for all s <= 4
+    for bad in ((0, -1), (0, -5), (-1, 2)):
+        assert sweep_min_s(capsys, *bad)[0] == EXIT_INPUT
+    for c in range(4):
+        code, s0 = sweep_min_s(capsys, c, 3)
+        assert code == EXIT_PASS and s0 is not None
+        for s in range(s0, 4):
+            assert tsen_certificate(s, c).nonzero
 
 
 # ---------------------------------------------------------------------------
