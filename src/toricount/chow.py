@@ -13,8 +13,9 @@ normal form; c is in the ideal iff r == 0, and then (p, q) is the cofactor
 certificate; the standard monomials give the Hilbert function. The quotient
 is Artinian with its one-dimensional socle in degree 6s+4, spanned by
 x^(3s+2) v^(3s+2), the normal form of the fundamental class
-x^(3s+2) (x+v)^(2s+2) v^s. All of it is exact rational arithmetic, and
-integral on integral input.
+x^(3s+2) (x+v)^(2s+2) v^s. All of it is exact: the division runs on Python
+integers (a class with denominators is scaled by their least common multiple
+first) and is integral on integral input.
 
 ``tsen_certificate`` packages the existence argument: the section class
 (5x + 2v)^E is tested for non-vanishing, and (when the complementary power of
@@ -40,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 
 from .errors import InvalidParams
 from .poly import QQ, MultiPoly, multidegree, print_poly, standard_grading, substitute
@@ -143,7 +144,9 @@ def _reduce(c: MultiPoly, spec: ChowRingSpec) -> tuple[MultiPoly, MultiPoly, Mul
     leading terms make (g1, g2) a Groebner basis (Buchberger's first
     criterion), so the remainder r, supported on x^i v^j with i, j < a, is
     unique: r == 0 iff c is in the ideal. g2 is monic in v^a, so integral
-    input gives integral p, q and r.
+    input gives integral p, q and r, and the division runs on the integers
+    den * c, den the least common denominator of c's coefficients; p, q and r
+    are the quotients of the results by den.
     """
     zero = MultiPoly.zero(2, QQ)
     d = class_degree(c)
@@ -151,9 +154,10 @@ def _reduce(c: MultiPoly, spec: ChowRingSpec) -> tuple[MultiPoly, MultiPoly, Mul
         return zero, zero, zero
     a = spec.relation_degree
     tail = [comb(2 * spec.s + 2, l) for l in range(2 * spec.s + 3)]
-    vec = [Fraction(0)] * (d + 1)  # vec[j] is the coefficient of x^(d-j) v^j
+    den = lcm(*(coeff.denominator for _, coeff in c.terms))
+    vec = [0] * (d + 1)  # vec[j] is den times the coefficient of x^(d-j) v^j
     for (_, j), coeff in c.terms:
-        vec[j] = coeff
+        vec[j] = coeff.numerator * (den // coeff.denominator)
     q = {}
     for j in range(d, a - 1, -1):  # subtract t x^(d-j) v^(j-a) g2 to clear v^j
         t = vec[j]
@@ -163,6 +167,8 @@ def _reduce(c: MultiPoly, spec: ChowRingSpec) -> tuple[MultiPoly, MultiPoly, Mul
                 vec[j - l] -= t * b
     p = {(d - j - a, j): vec[j] for j in range(d - a + 1) if vec[j]}
     r = {(d - j, j): vec[j] for j in range(max(0, d - a + 1), min(d, a - 1) + 1) if vec[j]}
+    if den != 1:
+        p, q, r = ({e: Fraction(n, den) for e, n in part.items()} for part in (p, q, r))
     return tuple(MultiPoly.from_dict(2, QQ, part) for part in (p, q, r))
 
 
@@ -315,15 +321,22 @@ def tsen_certificate(s: int, c: int, E_override: int | None = None) -> TsenCerti
 
 
 def _socle_coefficient(target: MultiPoly, spec: ChowRingSpec) -> Fraction:
-    """The gamma with target = gamma * fundamental_class (mod ideal), target of degree 6s+4.
+    """The gamma with target = gamma * fundamental_class (mod ideal), target of degree 6s+4."""
+    return Fraction(normal_form(target, spec).as_dict().get(_socle_monomial(spec), 0))
+
+
+@lru_cache(maxsize=None)
+def _socle_monomial(spec: ChowRingSpec) -> tuple[int, int]:
+    """(3s+2, 3s+2): the exponents of the normal form of the fundamental class.
 
     The top degree has one standard monomial, x^(3s+2) v^(3s+2), and it is
     the normal form of the fundamental class: every other term of
-    x^(3s+2) (x+v)^(2s+2) v^s is divisible by x^(3s+3).
+    x^(3s+2) (x+v)^(2s+2) v^s is divisible by x^(3s+3). That is checked once
+    per ring.
     """
     socle = (spec.relation_degree - 1,) * 2
     assert normal_form(fundamental_class(spec), spec).as_dict() == {socle: 1}
-    return Fraction(normal_form(target, spec).as_dict().get(socle, 0))
+    return socle
 
 
 # --------------------------------------------------------------------------

@@ -14,8 +14,10 @@ Every leaf command takes ``--format`` and ``--out``; ``count`` and
 ``--timing``. Output is a human table by default; ``--format json`` is the
 machine interface and is byte-identical across reruns for the same arguments
 (timings only appear under ``--timing``, and what the counts evaluated
-only under ``--stats``). Exit codes: 0 all checks pass,
-1 at least one congruence/certificate failed, 2 usage or input error.
+only under ``--stats``). An option given with an input that never reads it,
+such as ``--batch`` with ``--poly``, is a usage error. Exit codes: 0 all
+checks pass, 1 at least one congruence/certificate failed, 2 usage or input
+error.
 """
 
 from __future__ import annotations
@@ -121,6 +123,13 @@ def _require_seed(args: argparse.Namespace) -> int:
     if args.seed is None:
         raise ToricountError("--seed is required whenever randomness is used")
     return args.seed
+
+
+def _reject_unread(args: argparse.Namespace, source: str, options: tuple[str, ...]) -> None:
+    """A usage error for the first of `options` given with `source`, which never reads it."""
+    for name in options:
+        if getattr(args, name) is not None:
+            raise ToricountError(f"--{name} is not read with {source}")
 
 
 def _load_instance(args: argparse.Namespace) -> quintic.QuinticInstance:
@@ -244,11 +253,14 @@ def _verify_reports(args: argparse.Namespace) -> tuple[list[count.CongruenceRepo
 
     if kind == "esnault":
         if args.instance is not None:
+            _reject_unread(args, "--instance", ("batch", "seed", "policy"))
             instances = [_load_instance(args)]
         else:
             if not args.batch:
                 raise ToricountError("esnault needs --instance or --batch N --seed S")
-            instances = quintic.random_batch(spec, _require_seed(args), args.batch, args.policy)
+            instances = quintic.random_batch(
+                spec, _require_seed(args), args.batch, args.policy or "any"
+            )
         for inst in instances:
             reports.append(count.check_esnault(inst, work_cap=args.work_cap, stats=_stats(args)))
             sources.append(inst.to_dict())
@@ -256,6 +268,7 @@ def _verify_reports(args: argparse.Namespace) -> tuple[list[count.CongruenceRepo
 
     check = count.check_cw if kind == "cw" else count.check_ax
     if args.poly is not None:
+        _reject_unread(args, "--poly", ("batch", "seed", "policy", "degree"))
         space = _resolve_space(args.fan)
         P = parse(args.poly, space.grading.rho, spec)
         reports.append(check(P, space.grading, spec, work_cap=args.work_cap, stats=_stats(args)))
@@ -267,13 +280,14 @@ def _verify_reports(args: argparse.Namespace) -> tuple[list[count.CongruenceRepo
     space = count.blowup_p4_space() if args.fan is None else _resolve_space(args.fan)
     seed = _require_seed(args)
     if space.name == "blowup_p4_line" and args.degree is None:
-        for inst in quintic.random_batch(spec, seed, args.batch, args.policy):
+        for inst in quintic.random_batch(spec, seed, args.batch, args.policy or "any"):
             P = quintic.strict_transform(inst)
             reports.append(check(P, space.grading, spec, work_cap=args.work_cap, stats=_stats(args)))
             sources.append(inst.to_dict())
         return reports, sources
     if args.degree is None:
         raise ToricountError("--degree d1,...,dr is required for random batches on this fan")
+    _reject_unread(args, "--degree", ("policy",))
     rng = SplitMix64(seed)
     for k in range(args.batch):
         P = random_homogeneous(space.grading, args.degree, spec, SplitMix64(rng.next_tagged(k)))
@@ -325,10 +339,11 @@ def cmd_quintic(args: argparse.Namespace) -> int:
         return EXIT_PASS
     # show
     if args.instance is not None:
+        _reject_unread(args, "--instance", ("seed", "policy"))
         inst = _load_instance(args)
     else:
         spec = _require_field(args)
-        inst = quintic.random_instance(spec, _require_seed(args), args.policy)
+        inst = quintic.random_instance(spec, _require_seed(args), args.policy or "any")
     ambient = quintic.ambient_quintic(inst)
     strict = quintic.strict_transform(inst)
     blowup = count.blowup_p4_space()
@@ -458,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="multidegree d1,...,dr for random batches on general fans")
         vp.add_argument("--batch", type=int, default=None)
         vp.add_argument("--seed", type=int, default=None)
-        vp.add_argument("--policy", choices=quintic.NONZERO_POLICIES, default="any")
+        vp.add_argument("--policy", choices=quintic.NONZERO_POLICIES, default=None)
         vp.add_argument("--stats", action="store_true", help=_STATS_HELP)
         _add_common(vp)
         vp.add_argument("--timing", action="store_true", help="include wall-clock fields in output")
@@ -475,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     qp.add_argument("--instance", default=None)
     qp.add_argument("--field", default=None)
     qp.add_argument("--seed", type=int, default=None)
-    qp.add_argument("--policy", choices=quintic.NONZERO_POLICIES, default="any")
+    qp.add_argument("--policy", choices=quintic.NONZERO_POLICIES, default=None)
     qp.add_argument("--trials", type=int, default=8)
     _add_common(qp)
 

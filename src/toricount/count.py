@@ -5,7 +5,8 @@ polynomials on a box of F_q^m in odometer order (x0 most significant, field
 elements in enumeration order) and yields the mask of their common zeros block
 by block, the same way for prime fields, extension fields and q > 256: terms
 are sums of discrete logs, and their values are added as F_p digits. Results
-are independent of the block partitioning.
+are independent of the block partitioning. numpy is imported by the functions
+that use it, so the package loads it with the first count and not before.
 
 A small planner runs in front of the kernel. It rewrites #Z(P) over F_q^n as
 an integer combination of common-zero counts #Z(S) of systems S on smaller
@@ -56,9 +57,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from . import quintic as quintic_mod
 from .errors import (
@@ -82,6 +81,9 @@ from .poly import (
     standard_grading,
     total_generator_degree,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_WORK_CAP = 10 ** 9
 
@@ -167,6 +169,8 @@ def _reduce_digits(acc: np.ndarray, p: int, f: int, bits: int) -> np.ndarray:
     """Reduce each `bits`-wide F_p digit packed in `acc` mod p."""
     if f == 1:
         return acc % p
+    import numpy as np
+
     low = (1 << bits) - 1
     out = np.zeros_like(acc)
     for j in range(f):
@@ -195,6 +199,8 @@ def _zero_masks(
     digits are added as integers and reduced mod p once a block, or sooner
     when a digit could overflow its bits.
     """
+    import numpy as np
+
     polys = (system,) if isinstance(system, MultiPoly) else tuple(system)
     q, p, f = spec.q, spec.p, spec.f
     rho = len(axes)
@@ -238,6 +244,8 @@ def _zero_masks(
 
 def _on_strata(axes: list[np.ndarray], strata) -> np.ndarray:
     """Broadcast boolean over the box: every coordinate of some stratum is 0."""
+    import numpy as np
+
     rho = len(axes)
     out = np.zeros((1,) * rho, dtype=bool)
     for stratum in strata:
@@ -415,6 +423,8 @@ def _combination(box: Box, chosen: dict, combos: dict, stats: dict | None) -> di
 
 
 def _run_plan(plan: dict[Box, int], spec: FieldSpec, stats: dict | None = None) -> int:
+    import numpy as np
+
     if stats is not None:
         _tally(stats)
     total = 0
@@ -531,14 +541,21 @@ def _toric_counts(
     P: MultiPoly, space: Space, spec: FieldSpec, work_cap: int, stats: dict | None = None
 ) -> tuple[int, int, int, MultiDegree | None]:
     """(N_affine, N_exceptional, N_toric, multidegree of P or None for P = 0), where
-    N_toric = (N_affine - N_exceptional) / (q-1)^r.
+    N_toric = (N_affine - N_exceptional) / (q-1)^r, once `_toric_input` accepts the input."""
+    degree = _toric_input(P, space, spec)
+    return (*_quotient_counts(P, space, spec, work_cap, stats), degree)
+
+
+def _quotient_counts(
+    P: MultiPoly, space: Space, spec: FieldSpec, work_cap: int, stats: dict | None = None
+) -> tuple[int, int, int]:
+    """(N_affine, N_exceptional, N_toric) of an input already checked.
 
     The plans of the affine and the exceptional count are charged to one
     work cap before anything is evaluated. Raises NonIntegralQuotient unless
     the division is exact.
     """
     G = space.grading
-    degree = _toric_input(P, space, spec)
     n_aff, n_exc = _count([[(1, P)], _strata_roots(P, space)], spec, work_cap, stats)
     denom = (spec.q - 1) ** G.r
     diff = n_aff - n_exc
@@ -546,7 +563,7 @@ def _toric_counts(
         raise NonIntegralQuotient(
             f"(N_affine - N_exceptional) = {diff} is not divisible by (q-1)^{G.r} = {denom}"
         )
-    return n_aff, n_exc, diff // denom, degree
+    return n_aff, n_exc, diff // denom
 
 
 def toric_count_quotient(
@@ -570,6 +587,8 @@ def toric_count_orbits(
     from per-axis digit tables); the count is the number of distinct
     representatives.
     """
+    import numpy as np
+
     _toric_input(P, space, spec)
     G = space.grading
     q = spec.q
@@ -659,7 +678,10 @@ def check_cw_projective(
     d = multidegree(P, standard_grading(P.nvars))[0]  # strict homogeneity: orbits are needed
     if not 1 <= d <= n:
         raise HypothesisNotMet(f"degree {d} is outside [1, {n}], the range for P^{n}")
-    n_aff, _, n_proj, _ = _toric_counts(P, builtin(f"projective({n})"), spec, work_cap)
+    # the rest of the toric input check: P^n's grading is free and effective, and it
+    # is the standard grading, in which d was just found
+    _check_poly_field(P, spec)
+    n_aff, _, n_proj = _quotient_counts(P, builtin(f"projective({n})"), spec, work_cap)
     return _report("CW-projective", spec, start, n_aff, n_proj, spec.p, 1, n_toric=n_proj)
 
 

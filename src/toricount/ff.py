@@ -11,7 +11,8 @@ coefficients (n mod p, (n // p) mod p, ...), so F_4 enumerates as
 [0, 1, t, t+1]. The same encoding indexes the numpy tables built here: the
 discrete logarithm and exponential tables of a primitive element, O(q) in
 size, on which the counting kernel runs for every field, and the q x q
-addition and multiplication tables of small fields.
+addition and multiplication tables of small fields. Only the functions that
+build them import numpy.
 """
 
 from __future__ import annotations
@@ -20,9 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import (
     CapExceeded,
@@ -31,6 +30,9 @@ from .errors import (
     FieldMismatch,
     InvalidParams,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Largest p^f make_field accepts by default.
 CARDINALITY_CAP = 1 << 20
@@ -413,6 +415,8 @@ def power_sum(spec: FieldSpec, alpha: int) -> FieldElement:
 @lru_cache(maxsize=None)
 def arithmetic_tables(spec: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
     """(add, mul) tables indexed by enumeration order; q <= TABLE_CAP required."""
+    import numpy as np
+
     q = spec.q
     if q > TABLE_CAP:
         raise CapExceeded(f"arithmetic tables limited to q <= {TABLE_CAP}, got q = {q}")
@@ -433,6 +437,8 @@ def arithmetic_tables(spec: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
 
 def _times_matrix(c: FieldElement) -> np.ndarray:
     """Matrix of x -> c*x on coefficient vectors (column j = coefficients of c*t^j)."""
+    import numpy as np
+
     spec = c.spec
     basis = [spec.element([int(i == j) for i in range(spec.f)]) for j in range(spec.f)]
     return np.array([(c * b).coeffs for b in basis], dtype=np.int64).T
@@ -447,6 +453,8 @@ def log_tables(spec: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
     space; the powers are built by doubling, each step one vectorized
     product with the matrix of multiplication by g^n.
     """
+    import numpy as np
+
     p, f, q = spec.p, spec.f, spec.q
     for g in map(spec.from_index, range(1, q)):
         coeffs = np.array([spec.one().coeffs], dtype=np.int64)

@@ -216,6 +216,37 @@ def test_normal_form_standard_monomials(s):
             assert is_zero(c - nf, sp)
 
 
+@pytest.mark.parametrize("s", range(0, 13, 3))
+def test_reduce_divides_fractional_classes_exactly(s):
+    # the division runs on integers; a class c/k with denominators must reduce to
+    # exactly what c does, divided by k, with cofactors that reproduce c/k
+    sp = ChowRingSpec(s)
+    rng = SplitMix64(1000 + s)
+    a = sp.relation_degree
+    for d in (1, a - 1, a, sp.top_degree - 1, sp.top_degree, sp.top_degree + 2):
+        c = MultiPoly.from_dict(
+            2, QQ, {(d - j, j): rng.next_below(201) - 100 for j in range(d + 1)}
+        )
+        member = c - normal_form(c, sp)
+        for k in (2, 3, 7):
+            inv = Fraction(1, k)
+            assert normal_form(c * inv, sp) == normal_form(c, sp) * inv
+            res = ideal_membership(member * inv, sp)
+            assert res.in_ideal and check_cofactors(member * inv, sp, res)
+            res = ideal_membership(c * inv, sp)
+            assert res.in_ideal == (d > sp.top_degree)
+            if res.in_ideal:
+                assert check_cofactors(c * inv, sp, res)
+        # denominators that differ from term to term (1 to 6, least common multiple 60)
+        mixed = MultiPoly.from_dict(
+            2, QQ, {e: n / (1 + j % 6) for j, (e, n) in enumerate(c.terms)}
+        )
+        assert normal_form(mixed, sp) * 60 == normal_form(mixed * 60, sp)
+        member = mixed - normal_form(mixed, sp)
+        res = ideal_membership(member, sp)
+        assert res.in_ideal and check_cofactors(member, sp, res)
+
+
 @pytest.mark.parametrize("s", range(4))
 def test_hilbert_function(s):
     sp = ChowRingSpec(s)

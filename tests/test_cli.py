@@ -375,6 +375,54 @@ def test_unread_options_are_usage_errors(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+# an option that the command's input source never reads is a usage error too
+_CW_POLY = ["--field", "GF(3)", "--fan", "projective(4)", "--poly", "x0^3 + x1^3 + x2^3"]
+_UNREAD_WITH_SOURCE = {
+    "cw-poly-batch": (["verify", "cw", *_CW_POLY, "--batch", "5"], "--batch", "--poly"),
+    "cw-poly-seed": (["verify", "cw", *_CW_POLY, "--seed", "1"], "--seed", "--poly"),
+    "ax-poly-policy": (["verify", "ax", *_CW_POLY, "--policy", "any"], "--policy", "--poly"),
+    "ax-poly-degree": (["verify", "ax", *_CW_POLY, "--degree", "3"], "--degree", "--poly"),
+    "cw-degree-policy": (
+        ["verify", "cw", "--field", "GF(3)", "--fan", "projective(2)", "--degree", "2",
+         "--batch", "1", "--seed", "1", "--policy", "p3_nonzero"],
+        "--policy", "--degree",
+    ),
+    "ax-blowup-degree-policy": (
+        ["verify", "ax", "--field", "GF(3)", "--degree", "3,1", "--batch", "1", "--seed", "1",
+         "--policy", "any"],
+        "--policy", "--degree",
+    ),
+    "esnault-instance-batch": (["verify", "esnault", "--batch", "2"], "--batch", "--instance"),
+    "esnault-instance-seed": (["verify", "esnault", "--seed", "1"], "--seed", "--instance"),
+    "esnault-instance-policy": (
+        ["verify", "esnault", "--policy", "p3_nonzero"], "--policy", "--instance"
+    ),
+    "show-instance-seed": (["quintic", "show", "--seed", "1"], "--seed", "--instance"),
+    "show-instance-policy": (["quintic", "show", "--policy", "any"], "--policy", "--instance"),
+}
+
+
+@pytest.mark.parametrize("case", list(_UNREAD_WITH_SOURCE))
+def test_options_a_source_never_reads_are_usage_errors(capsys, tmp_path, case):
+    argv, option, source = _UNREAD_WITH_SOURCE[case]
+    if source == "--instance":
+        path = tmp_path / "inst.json"
+        path.write_text(random_instance(F3, 4).to_json())
+        argv = argv + ["--field", "GF(3)", "--instance", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_INPUT and out == ""
+    assert f"error: {option} is not read with {source}" in err
+
+
+def test_policy_defaults_to_any(capsys):
+    default, given = (
+        run_json(capsys, "verify", "esnault", "--field", "GF(3)", "--batch", "2", "--seed", "5",
+                 *policy)[1]["reports"]
+        for policy in ([], ["--policy", "any"])
+    )
+    assert default == given
+
+
 # ---------------------------------------------------------------------------
 # chow
 # ---------------------------------------------------------------------------

@@ -371,6 +371,24 @@ def test_check_esnault_computes_the_multidegree_once(monkeypatch):
     assert calls == [6] and rep.mu == 1
 
 
+def test_check_cw_projective_computes_the_multidegree_once(monkeypatch):
+    calls = []
+
+    def multidegree(P, G):
+        calls.append(P.nvars)
+        return real(P, G)
+
+    real = count.multidegree
+    monkeypatch.setattr(count, "multidegree", multidegree)
+    rep = check_cw_projective(parse("x0^2 + x1*x2", 3, F5), F5)
+    assert calls == [3] and rep.passed
+    # the degree hypothesis is still checked before the field
+    with pytest.raises(HypothesisNotMet):
+        check_cw_projective(parse("x0^5*x1", 5, F3), F5)
+    with pytest.raises(FieldMismatch):
+        check_cw_projective(parse("x0^2 + x1*x2", 3, F3), F5)
+
+
 # ---------------------------------------------------------------------------
 # exceptional sets and toric quotient counts
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Every name a module of the package imports is read somewhere in that module,
 every private module-level name is read somewhere in the package, and every
 public one by production code, the package's ``__all__`` or the acceptance
-criteria.
+criteria. numpy is imported by the first count, not by ``import toricount``.
 
 No linter ships with the project, so these are the unused-import and dead-helper
 checks: ast scans of src/toricount/*.py. A name counts as read if it appears as
@@ -10,7 +10,10 @@ a module-level name also counts as read as an attribute (``count._toric_counts``
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -150,3 +153,30 @@ def test_public_scan_sees_names_only_their_own_definition_reads():
     }
     readers = {"bench.py": "from toricount import a\nprint(a.BENCH)\n"}
     assert unread_names(sources, readers, public=True) == ["a.py: dead", "a.py: TABLE"]
+
+
+#: run in a fresh interpreter: the package and its chow commands do without numpy
+_NUMPY_ON_DEMAND = """
+import sys
+import toricount
+from toricount import cli
+assert "numpy" not in sys.modules, "import toricount loaded numpy"
+assert cli.main(["chow", "sweep", "--c", "1", "--s-max", "3", "--format", "json"]) == 0
+assert cli.main(["chow", "certify", "--s", "2", "--c", "0", "--E", "9"]) == 0
+assert "numpy" not in sys.modules, "a chow command loaded numpy"
+F3 = toricount.make_field(3)
+assert toricount.affine_count(toricount.parse("x0 + x1", 2, F3), F3) == 3
+assert "numpy" in sys.modules, "the count ran without numpy"
+"""
+
+
+def test_numpy_is_loaded_by_the_first_count():
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_ON_DEMAND],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
