@@ -125,6 +125,14 @@ def _require_seed(args: argparse.Namespace) -> int:
     return args.seed
 
 
+def _require_batch(args: argparse.Namespace, need: str) -> int:
+    if args.batch is None:
+        raise ToricountError(need)
+    if args.batch < 1:
+        raise InvalidParams(f"--batch must be >= 1, got {args.batch}")
+    return args.batch
+
+
 def _reject_unread(args: argparse.Namespace, source: str, options: tuple[str, ...]) -> None:
     """A usage error for the first of `options` given with `source`, which never reads it."""
     for name in options:
@@ -256,10 +264,9 @@ def _verify_reports(args: argparse.Namespace) -> tuple[list[count.CongruenceRepo
             _reject_unread(args, "--instance", ("batch", "seed", "policy"))
             instances = [_load_instance(args)]
         else:
-            if not args.batch:
-                raise ToricountError("esnault needs --instance or --batch N --seed S")
+            batch = _require_batch(args, "esnault needs --instance or --batch N --seed S")
             instances = quintic.random_batch(
-                spec, _require_seed(args), args.batch, args.policy or "any"
+                spec, _require_seed(args), batch, args.policy or "any"
             )
         for inst in instances:
             reports.append(count.check_esnault(inst, work_cap=args.work_cap, stats=_stats(args)))
@@ -275,12 +282,11 @@ def _verify_reports(args: argparse.Namespace) -> tuple[list[count.CongruenceRepo
         sources.append({"poly": print_poly(P), "fan": space.name, "field": spec.name})
         return reports, sources
 
-    if not args.batch:
-        raise ToricountError(f"{kind} needs --poly or --batch N --seed S")
+    batch = _require_batch(args, f"{kind} needs --poly or --batch N --seed S")
     space = count.blowup_p4_space() if args.fan is None else _resolve_space(args.fan)
     seed = _require_seed(args)
     if space.name == "blowup_p4_line" and args.degree is None:
-        for inst in quintic.random_batch(spec, seed, args.batch, args.policy or "any"):
+        for inst in quintic.random_batch(spec, seed, batch, args.policy or "any"):
             P = quintic.strict_transform(inst)
             reports.append(check(P, space.grading, spec, work_cap=args.work_cap, stats=_stats(args)))
             sources.append(inst.to_dict())
@@ -289,7 +295,7 @@ def _verify_reports(args: argparse.Namespace) -> tuple[list[count.CongruenceRepo
         raise ToricountError("--degree d1,...,dr is required for random batches on this fan")
     _reject_unread(args, "--degree", ("policy",))
     rng = SplitMix64(seed)
-    for k in range(args.batch):
+    for k in range(batch):
         P = random_homogeneous(space.grading, args.degree, spec, SplitMix64(rng.next_tagged(k)))
         reports.append(check(P, space.grading, spec, work_cap=args.work_cap, stats=_stats(args)))
         sources.append({"poly": print_poly(P), "fan": space.name, "field": spec.name})

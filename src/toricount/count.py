@@ -4,9 +4,10 @@ Counts are exact Python integers. One numpy kernel evaluates a system of
 polynomials on a box of F_q^m in odometer order (x0 most significant, field
 elements in enumeration order) and yields the mask of their common zeros block
 by block, the same way for prime fields, extension fields and q > 256: terms
-are sums of discrete logs, and their values are added as F_p digits. Results
-are independent of the block partitioning. numpy is imported by the functions
-that use it, so the package loads it with the first count and not before.
+are sums of discrete logs, and their values are added as F_p digits for odd p
+and XORed as element indices in characteristic 2. Results are independent of
+the block partitioning. numpy is imported by the functions that use it, so
+the package loads it with the first count and not before.
 
 A small planner runs in front of the kernel. It rewrites #Z(P) over F_q^n as
 an integer combination of common-zero counts #Z(S) of systems S on smaller
@@ -194,10 +195,13 @@ def _zero_masks(
 
     Every field takes the same path. A term c * prod x_i^e_i is evaluated as
     log c + sum e_i log x_i, broadcast from axis-shaped tables in which a
-    sentinel stands for the element 0. A table maps that sum to the base-p
-    digits of the term's value, packed into one int64; the terms' packed
-    digits are added as integers and reduced mod p once a block, or sooner
-    when a digit could overflow its bits.
+    sentinel stands for the element 0. A table maps that sum to the term's
+    value, and the values are summed into one int64 per point. In
+    characteristic 2 the value is the element's index, its coefficient
+    vector written as bits, and the terms are XORed, which never carries. For
+    odd p the value is the element's base-p digits packed into one int64; the
+    terms' packed digits are added as integers and reduced mod p once a
+    block, or sooner when a digit could overflow its bits.
     """
     import numpy as np
 
@@ -212,12 +216,17 @@ def _zero_masks(
     width = max((len(factors) for terms in term_lists for _, factors in terms), default=0)
     # a log sum without a zero factor stays below the sentinel; one with a zero reaches it
     sentinel = (width + 1) * (q - 1)
-    bits = 63 // f
-    packed = sum((exp // p ** j % p) << (bits * j) for j in range(f))
+    if p == 2:
+        # the index packs the F_2 coefficients one to a bit: they add by XOR, with no carry
+        packed, add, headroom = exp, np.bitwise_xor, None
+    else:
+        bits = 63 // f
+        packed = sum((exp // p ** j % p) << (bits * j) for j in range(f))
+        add = np.add
+        # terms that reduced digits (at most p-1) can take before one could overflow
+        headroom = ((1 << bits) - 1) // (p - 1) - 1
     value = np.zeros(width * sentinel + q - 1, dtype=np.int64)
     value[:sentinel] = np.resize(packed, sentinel)
-    # terms that reduced digits (at most p-1) can take before one could overflow
-    headroom = ((1 << bits) - 1) // (p - 1) - 1
     powers = {factor for terms in term_lists for _, factors in terms for factor in factors}
     sizes = [len(a) for a in axes]
     k = next(k for k in range(rho + 1) if math.prod(sizes[k:]) <= _BLOCK_TARGET)
@@ -235,10 +244,12 @@ def _zero_masks(
                 s = clog
                 for factor in factors:
                     s = s + logs[factor]
-                acc += value[s]
-                if n % headroom == 0:
+                add(acc, value[s], out=acc)
+                if headroom and n % headroom == 0:
                     acc = _reduce_digits(acc, p, f, bits)
-            mask &= _reduce_digits(acc, p, f, bits) == 0
+            if headroom:
+                acc = _reduce_digits(acc, p, f, bits)
+            mask &= acc == 0
         yield block, mask
 
 

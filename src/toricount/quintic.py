@@ -218,7 +218,10 @@ def blowdown_images(spec: FieldSpec) -> tuple[MultiPoly, ...]:
 
 
 def pullback_identity_check(inst: QuinticInstance, trials: int = 8, seed: int = 0) -> bool:
-    """Assert ambient ∘ blowdown = x5^3 * strict transform, symbolically and at points."""
+    """Assert ambient ∘ blowdown = x5^3 * strict transform, symbolically and at
+    `trials` random points."""
+    if trials < 0:
+        raise InvalidParams(f"trials must be >= 0, got {trials}")
     spec = inst.field
     composed = substitute(ambient_quintic(inst), blowdown_images(spec))
     x5cubed = MultiPoly.monomial(6, spec, (0, 0, 0, 0, 0, 3), spec.one())
@@ -230,7 +233,7 @@ def pullback_identity_check(inst: QuinticInstance, trials: int = 8, seed: int = 
         )
     rng = SplitMix64(seed)
     F = ambient_quintic(inst)
-    for _ in range(max(0, trials)):
+    for _ in range(trials):
         pt6 = tuple(spec.from_index(rng.next_below(spec.q)) for _ in range(6))
         lhs = evaluate(F, blowdown(pt6))
         rhs = pt6[5] ** 3 * evaluate(strict_transform(inst), pt6)

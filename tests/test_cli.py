@@ -414,6 +414,28 @@ def test_options_a_source_never_reads_are_usage_errors(capsys, tmp_path, case):
     assert f"error: {option} is not read with {source}" in err
 
 
+# a count of checks or trials below the least that means anything is a usage error,
+# not an empty run that passes
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "esnault", "--field", "GF(3)", "--batch", "-2", "--seed", "1"],
+         "--batch must be >= 1, got -2"),
+        (["verify", "cw", "--field", "GF(3)", "--fan", "projective(2)", "--degree", "2",
+          "--batch", "-1", "--seed", "1"], "--batch must be >= 1, got -1"),
+        (["verify", "ax", "--field", "GF(4)", "--batch", "0", "--seed", "1"],
+         "--batch must be >= 1, got 0"),
+        (["quintic", "show", "--field", "GF(3)", "--seed", "1", "--trials", "-3"],
+         "trials must be >= 0, got -3"),
+    ],
+    ids=["esnault", "cw", "ax", "show"],
+)
+def test_counts_below_their_least_are_usage_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_INPUT and out == ""
+    assert f"error: {message}" in err
+
+
 def test_policy_defaults_to_any(capsys):
     default, given = (
         run_json(capsys, "verify", "esnault", "--field", "GF(3)", "--batch", "2", "--seed", "5",

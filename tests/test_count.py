@@ -123,9 +123,23 @@ def test_partition_independence(P):
 
 
 def test_zero_masks_reduce_digits_before_they_overflow():
-    # Over GF(2^13) each F_2 digit of a value gets 4 bits of the packed int64, so
-    # the 16 terms of x0 + ... + x15, all equal to 1 at (1, ..., 1), would carry
-    # out of the lowest digit unless the kernel reduced mod 2 within the block.
+    # Over GF(3^9) each F_3 digit of a value gets 7 bits of the packed int64, room for
+    # 62 reduced digits. At x0 = 1 the 63 terms 2*x0^j add 126 to the lowest digit, and
+    # 2*x1 is 2 + 2t at x1 = 1 + t (index 4). Unless the kernel reduced mod 3 within the
+    # block, the lowest digit would reach 128 and carry into the next, and x1 = 1 + t
+    # would read as a zero. The only zero is x1 = 0.
+    spec = make_field(3, 9)
+    two = spec.from_int(2)
+    terms = {(j, 0): two for j in range(1, 64)}
+    P = MultiPoly.from_dict(2, spec, {**terms, (0, 1): two})
+    axes = [np.ones(1, dtype=np.int64), np.arange(spec.q)]
+    (block, mask), = _zero_masks(P, spec, axes)
+    assert [int(block[-1][i]) for i in np.nonzero(mask.ravel())[0]] == [0]
+
+
+def test_zero_masks_xor_in_characteristic_2():
+    # Over GF(2^13) the 16 terms of x0 + ... + x15 at (1, ..., 1, x15) XOR to x15 + 1,
+    # with no digit to carry, so x15 = 1 is the one zero.
     spec = make_field(2, 13)
     n = 16
     P = MultiPoly.from_dict(
@@ -134,6 +148,27 @@ def test_zero_masks_reduce_digits_before_they_overflow():
     axes = [np.ones(1, dtype=np.int64)] * (n - 1) + [np.arange(spec.q)]
     (block, mask), = _zero_masks(P, spec, axes)
     assert [int(block[-1][i]) for i in np.nonzero(mask.ravel())[0]] == [1]
+
+
+@pytest.mark.parametrize(
+    "p,f,nvars,reduces",
+    [(2, 1, 3, False), (2, 3, 2, False), (2, 9, 1, False), (3, 2, 2, True)],
+    ids=["GF(2)", "GF(8)", "GF(2^9)", "GF(9)"],
+)
+def test_zero_masks_reduce_digits_only_for_odd_p(monkeypatch, p, f, nvars, reduces):
+    # characteristic 2 adds values by XOR; odd p adds F_p digits and reduces them
+    spec = make_field(p, f)
+    rng = SplitMix64(spec.q)
+    mapping = {}
+    for _ in range(6):
+        exps = tuple(rng.next_below(4) for _ in range(nvars))
+        mapping[exps] = spec.from_index(1 + rng.next_below(spec.q - 1))
+    P = MultiPoly.from_dict(nvars, spec, mapping)
+    calls = []
+    real = count._reduce_digits
+    monkeypatch.setattr(count, "_reduce_digits", lambda *a: calls.append(a) or real(*a))
+    assert kernel_count(P, spec) == naive_affine_count(P, spec)
+    assert bool(calls) == reduces
 
 
 def test_frozen_counts():
@@ -697,7 +732,8 @@ def test_check_esnault_random(spec, seed):
 # (p, f, seed, n_affine, n_exceptional, n_toric) of check_esnault(random_instance(GF(p^f), seed))
 # and toric_count_orbits of strict transforms over GF(5), by seed. The values were
 # recorded with the earlier counting code (separate prime-field, table and orbit
-# kernels and an inclusion-exclusion over strata), at fields the oracle cannot reach.
+# kernels and an inclusion-exclusion over strata), at fields the oracle cannot reach;
+# the GF(2^6) and GF(2^8) rows with the one kernel when it still added F_2 digits.
 GOLDEN_ESNAULT = [
     (7, 1, 1, 21889, 685, 589),
     (7, 1, 2, 19621, 685, 526),
@@ -708,6 +744,10 @@ GOLDEN_ESNAULT = [
     (3, 2, 2, 72369, 1457, 1108),
     (11, 1, 1, 185361, 2661, 1827),
     (11, 1, 2, 188661, 2661, 1860),
+    (2, 6, 1, 1109562112, 524287, 279425),
+    (2, 6, 2, 1111086208, 524287, 279809),
+    (2, 8, 1, 1108367577856, 33554431, 17044737),
+    (2, 8, 2, 1108167821056, 33554431, 17041665),
 ]
 GOLDEN_ORBITS_F5 = {1: 281, 2: 246, 3: 236}
 

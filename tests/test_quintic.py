@@ -198,6 +198,13 @@ def test_pullback_identity_check_returns_true():
     assert issubclass(IdentityViolated, Exception)
 
 
+def test_pullback_identity_check_rejects_negative_trials():
+    # zero trials checks the identity symbolically only; fewer is no check at all
+    assert pullback_identity_check(fermat_instance(F2), trials=0) is True
+    with pytest.raises(InvalidParams, match="trials must be >= 0, got -1"):
+        pullback_identity_check(fermat_instance(F2), trials=-1)
+
+
 # ---------------------------------------------------------------------------
 # seeded generation / serialization
 # ---------------------------------------------------------------------------
