@@ -5,7 +5,9 @@ polynomials on a box of F_q^m in odometer order (x0 most significant, field
 elements in enumeration order) and yields the mask of their common zeros block
 by block, the same way for prime fields, extension fields and q > 256: terms
 are sums of discrete logs, and their values are added as F_p digits for odd p
-and XORed as element indices in characteristic 2. Results are independent of
+and XORed as element indices in characteristic 2. Each polynomial is written
+as x^g*F with x^g its largest monomial factor, is zero where a variable of x^g
+is, and has F evaluated only on the axes F uses. Results are independent of
 the block partitioning. numpy is imported by the functions that use it, so
 the package loads it with the first count and not before.
 
@@ -44,7 +46,9 @@ Congruence checks returned as :class:`CongruenceReport`:
 
 A count or check given a ``stats`` dict fills it with what it evaluated: the
 rules that fired, the kernel boxes, their points and points x terms; a
-check's report carries that dict.
+check's report carries that dict. Points, like the work cap's charge, count
+whole boxes, an upper bound on the points at which the kernel evaluates a
+polynomial whose monomial factor it splits off.
 
 The degree hypotheses consume componentwise degree *bounds*, so inhomogeneous
 inputs (e.g. y^2 - P(x) under a weighted grading) are accepted; exact
@@ -98,9 +102,11 @@ _ORBIT_POINT_CAP = 1 << 22
 _PLAN_NODE_CAP = 1 << 12
 
 #: boxes of at most this many points go to the kernel whole: on them the kernel's
-#: fixed cost per term outweighs the points a plan saves. Whole, the 5^6-point grid
-#: of a GF(5) quintic and the 11^4-point boxes of a GF(11) one counted faster than
-#: planned; the 13^4-point boxes of a GF(13) one are worth planning.
+#: fixed cost per term outweighs the points a plan saves. In check_esnault on 20
+#: seeded quintics (2-CPU Xeon, numpy 2.4), the 5^6-point grid of GF(5) counted as
+#: fast whole as planned, and the 11^4-point boxes of GF(11) faster whole (1.7-3.3
+#: ms a check against 2.3-4.1 ms planned). The 13^4-point boxes of GF(13), which
+#: this floor plans, also counted faster whole (1.8-3.5 ms against 2.3-4.7 ms).
 _PLAN_MIN_POINTS = 1 << 14
 
 
@@ -202,6 +208,12 @@ def _zero_masks(
     odd p the value is the element's base-p digits packed into one int64; the
     terms' packed digits are added as integers and reduced mod p once a
     block, or sooner when a digit could overflow its bits.
+
+    Each polynomial is first written as P = x^g * F, with g the least
+    exponent of each variable over P's terms, and vanishes where x_i = 0 for
+    some i with g_i > 0 or where F = 0. F is evaluated only on the axes its
+    terms use, with size 1 on the others, and its zeros are broadcast into
+    the block's mask: x0^2 * P3(x1, x2, x3) costs q^3 points, not q^4.
     """
     import numpy as np
 
@@ -209,11 +221,17 @@ def _zero_masks(
     q, p, f = spec.q, spec.p, spec.f
     rho = len(axes)
     log, exp = log_tables(spec)
-    term_lists = [
-        [(int(log[c.to_index()]), [(i, e) for i, e in enumerate(exps) if e]) for exps, c in P.terms]
-        for P in polys
-    ]
-    width = max((len(factors) for terms in term_lists for _, factors in terms), default=0)
+    # each P = x^g * F as (the axes i with g_i > 0, the axes F uses, F's terms)
+    factored = []
+    for P in polys:
+        g = [min(col) for col in zip(*(e for e, _ in P.terms))]
+        terms = [
+            (int(log[c.to_index()]), [(i, e - g[i]) for i, e in enumerate(exps) if e > g[i]])
+            for exps, c in P.terms
+        ]
+        used = {i for _, factors in terms for i, _ in factors}
+        factored.append(([i for i, gi in enumerate(g) if gi], used, terms))
+    width = max((len(factors) for *_, terms in factored for _, factors in terms), default=0)
     # a log sum without a zero factor stays below the sentinel; one with a zero reaches it
     sentinel = (width + 1) * (q - 1)
     if p == 2:
@@ -227,7 +245,7 @@ def _zero_masks(
         headroom = ((1 << bits) - 1) // (p - 1) - 1
     value = np.zeros(width * sentinel + q - 1, dtype=np.int64)
     value[:sentinel] = np.resize(packed, sentinel)
-    powers = {factor for terms in term_lists for _, factors in terms for factor in factors}
+    powers = {factor for *_, terms in factored for _, factors in terms for factor in factors}
     sizes = [len(a) for a in axes]
     k = next(k for k in range(rho + 1) if math.prod(sizes[k:]) <= _BLOCK_TARGET)
     for lead in itertools.product(*axes[:k]):
@@ -238,8 +256,8 @@ def _zero_masks(
             a = block[i]
             logs[i, e] = _axis_view(np.where(a == 0, sentinel, e * log[a] % (q - 1)), i, rho)
         mask = np.ones(shape, dtype=bool)
-        for terms in term_lists:
-            acc = np.zeros(shape, dtype=np.int64)
+        for zero_axes, used, terms in factored:
+            acc = np.zeros([m if i in used else 1 for i, m in enumerate(shape)], dtype=np.int64)
             for n, (clog, factors) in enumerate(terms, 1):
                 s = clog
                 for factor in factors:
@@ -249,7 +267,10 @@ def _zero_masks(
                     acc = _reduce_digits(acc, p, f, bits)
             if headroom:
                 acc = _reduce_digits(acc, p, f, bits)
-            mask &= acc == 0
+            zero = acc == 0
+            for i in zero_axes:
+                zero = zero | _axis_view(block[i] == 0, i, rho)
+            mask &= zero
         yield block, mask
 
 

@@ -61,6 +61,15 @@ def naive_affine_count(P: MultiPoly, spec: FieldSpec) -> int:
     return count
 
 
+def naive_zero_mask(system: Sequence[MultiPoly], spec: FieldSpec, axes) -> np.ndarray:
+    """The common zeros of `system` on the box axes[0] x ... x axes[-1] of element
+    indices, point by point in odometer order."""
+    points = itertools.product(*([spec.from_index(int(i)) for i in a] for a in axes))
+    return np.array(
+        [all(eval_poly(P, point).is_zero for P in system) for point in points], dtype=bool
+    )
+
+
 def blowup_fiber_count(inst: QuinticInstance) -> int:
     """N_affine of the strict transform x0^2*P3 + x0*x4*Q3 + x4*x5*Q4, fiber by fiber.
 

@@ -62,6 +62,7 @@ from oracles import (
     naive_affine_count,
     naive_exceptional_count,
     naive_toric_orbits,
+    naive_zero_mask,
     union_subspace_count,
 )
 
@@ -169,6 +170,61 @@ def test_zero_masks_reduce_digits_only_for_odd_p(monkeypatch, p, f, nvars, reduc
     monkeypatch.setattr(count, "_reduce_digits", lambda *a: calls.append(a) or real(*a))
     assert kernel_count(P, spec) == naive_affine_count(P, spec)
     assert bool(calls) == reduces
+
+
+def factored_poly(spec, nvars, rng):
+    """c*x^g*F with F random: g and F's exponents below 3, F of up to 3 terms."""
+    g = [rng.next_below(3) for _ in range(nvars)]
+    mapping = {}
+    for _ in range(rng.next_below(4)):
+        exps = tuple(gi + rng.next_below(3) for gi in g)
+        mapping[exps] = spec.from_index(1 + rng.next_below(spec.q - 1))
+    if not mapping:
+        # a bare monomial c*x^g
+        mapping[tuple(g)] = spec.from_index(1 + rng.next_below(spec.q - 1))
+    return MultiPoly.from_dict(nvars, spec, mapping)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [F5, make_field(2, 3), F9, F289, F512],
+    ids=["GF(5)", "GF(2^3)", "GF(3^2)", "GF(17^2)", "GF(2^9)"],
+)
+def test_zero_masks_of_factored_polynomials_match_oracle(monkeypatch, spec):
+    # P = x^g*F vanishes where a variable of x^g is 0 or F is 0, with F evaluated on its
+    # own axes only. Each box holds 0 and up to three more elements an axis, and the
+    # block targets fix no axis, every leading axis but the last, and every axis.
+    rng = SplitMix64(spec.q)
+    for _ in range(12):
+        nvars = 1 + rng.next_below(4)
+        system = [factored_poly(spec, nvars, rng) for _ in range(1 + rng.next_below(2))]
+        if rng.next_below(4) == 0:
+            system.append(MultiPoly.zero(nvars, spec))
+        axes = [
+            np.array(sorted({0} | {rng.next_below(spec.q) for _ in range(3)}))
+            for _ in range(nvars)
+        ]
+        expected = naive_zero_mask(system, spec, axes)
+        for target in (len(expected), len(axes[-1]), 1):
+            monkeypatch.setattr(count, "_BLOCK_TARGET", target)
+            masks = [mask.ravel() for _, mask in _zero_masks(system, spec, axes)]
+            assert np.array_equal(np.concatenate(masks), expected), (system, target)
+
+
+def test_zero_masks_evaluate_the_cofactor_on_its_own_axes(monkeypatch):
+    # x0^2*P3(x1, x2, x3) over GF(9)^4: the digits reduced are those of P3 on F_9^3,
+    # an accumulator of shape (1, 9, 9, 9), and the zeros are x0 = 0 or P3 = 0
+    spec = F9
+    q = spec.q
+    rng = SplitMix64(3)
+    P3 = poly_from_coefficients(spec, 3, [1 + rng.next_below(q - 1) for _ in range(10)])
+    P = MultiPoly.from_dict(4, spec, {(2,) + e: c for e, c in P3.terms})
+    zeros_of_p3 = kernel_count(P3, spec)
+    shapes = []
+    real = count._reduce_digits
+    monkeypatch.setattr(count, "_reduce_digits", lambda *a: shapes.append(a[0].shape) or real(*a))
+    assert kernel_count(P, spec) == q**3 + (q - 1) * zeros_of_p3
+    assert shapes and set(shapes) == {(1, q, q, q)}
 
 
 def test_frozen_counts():
@@ -548,6 +604,18 @@ def test_quotient_equals_orbits_on_fans(name):
             assert toric_count_quotient(P, sp, spec) == toric_count_orbits(P, sp, spec)
 
 
+@pytest.mark.parametrize("name", ["projective(2)", "blowup_p2"])
+def test_quotient_equals_orbits_with_a_monomial_factor(name):
+    # x0*x1^2*R: the orbit box holds x0 in {0, 1}, a variable of the monomial factor
+    sp = builtin(name)
+    rng = SplitMix64(7)
+    rho, r = sp.grading.rho, sp.grading.r
+    for spec in (F3, F5):
+        factor = MultiPoly.monomial(rho, spec, (1, 2) + (0,) * (rho - 2), spec.one())
+        P = factor * random_homogeneous(sp.grading, (1,) * r, spec, rng)
+        assert toric_count_orbits(P, sp, spec) == toric_count_quotient(P, sp, spec)
+
+
 def test_weighted_grading_stabilizers():
     # weighted(1,1,2) is grading-first (no fan); when gcd(2, q-1) > 1 the
     # scaling action has mu_2 stabilizers along {x0 = x1 = 0}, so orbit
@@ -748,6 +816,11 @@ GOLDEN_ESNAULT = [
     (2, 6, 2, 1111086208, 524287, 279809),
     (2, 8, 1, 1108367577856, 33554431, 17044737),
     (2, 8, 2, 1108167821056, 33554431, 17041665),
+    # recorded before the kernel factored out monomials: the chart rule plans GF(13), and
+    # the plans of GF(257) and GF(3^5) (packed digits) hold 1-D boxes of bare monomials
+    (13, 1, 3, 421993, 4393, 2900),
+    (257, 1, 3, 1129980560897, 33949185, 17241617),
+    (3, 5, 3, 854119573209, 28697813, 14583889),
 ]
 GOLDEN_ORBITS_F5 = {1: 281, 2: 246, 3: 236}
 
