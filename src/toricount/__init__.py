@@ -15,7 +15,6 @@ Submodules
 from .chow import (
     ChowRingSpec,
     TsenCertificate,
-    dimension_count,
     hyperplane_class,
     is_zero,
     tsen_certificate,
@@ -25,7 +24,6 @@ from .count import (
     affine_count,
     check_ax,
     check_cw,
-    check_cw_projective,
     check_esnault,
     exceptional_on_hypersurface,
     toric_count_orbits,
@@ -54,9 +52,7 @@ __all__ = [
     "builtin",
     "check_ax",
     "check_cw",
-    "check_cw_projective",
     "check_esnault",
-    "dimension_count",
     "exceptional_on_hypersurface",
     "grading_from_fan",
     "hyperplane_class",

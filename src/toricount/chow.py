@@ -233,8 +233,9 @@ class TsenCertificate:
 
     Only s, c, E, default_E, nonzero, gamma and socle_dim are stored; the
     other fields of ``to_dict`` are read-only properties derived from them:
-    within_socle (E <= 6s+4, the top degree), gamma_positive and
-    gamma_integral (None without gamma), equations (E) and unknowns (6s+6).
+    within_socle (E <= 6s+4, the top degree), gamma_positive (None without
+    gamma), gamma_integral (True with gamma, which is an integer, and None
+    without), equations (E) and unknowns (6s+6).
     """
 
     s: int
@@ -242,7 +243,7 @@ class TsenCertificate:
     E: int
     default_E: bool
     nonzero: bool
-    gamma: Fraction | None
+    gamma: int | None
     socle_dim: int
 
     @property
@@ -255,7 +256,7 @@ class TsenCertificate:
 
     @property
     def gamma_integral(self) -> bool | None:
-        return None if self.gamma is None else self.gamma.denominator == 1
+        return None if self.gamma is None else True
 
     @property
     def equations(self) -> int:
@@ -266,13 +267,6 @@ class TsenCertificate:
         return 6 * self.s + 6
 
     def to_dict(self) -> dict:
-        gamma: int | str | None
-        if self.gamma is None:
-            gamma = None
-        elif self.gamma.denominator == 1:
-            gamma = int(self.gamma)
-        else:
-            gamma = str(self.gamma)
         return {
             "s": self.s,
             "c": self.c,
@@ -280,7 +274,7 @@ class TsenCertificate:
             "default_E": self.default_E,
             "nonzero": self.nonzero,
             "within_socle": self.within_socle,
-            "gamma": gamma,
+            "gamma": self.gamma,
             "gamma_positive": self.gamma_positive,
             "gamma_integral": self.gamma_integral,
             "equations": self.equations,
@@ -320,9 +314,12 @@ def tsen_certificate(s: int, c: int, E_override: int | None = None) -> TsenCerti
     )
 
 
-def _socle_coefficient(target: MultiPoly, spec: ChowRingSpec) -> Fraction:
-    """The gamma with target = gamma * fundamental_class (mod ideal), target of degree 6s+4."""
-    return Fraction(normal_form(target, spec).as_dict().get(_socle_monomial(spec), 0))
+def _socle_coefficient(target: MultiPoly, spec: ChowRingSpec) -> int:
+    """The gamma with target = gamma * fundamental_class (mod ideal), target of degree 6s+4.
+
+    The target is integral, and the division keeps integral input integral.
+    """
+    return int(normal_form(target, spec).as_dict().get(_socle_monomial(spec), 0))
 
 
 @lru_cache(maxsize=None)
@@ -337,46 +334,3 @@ def _socle_monomial(spec: ChowRingSpec) -> tuple[int, int]:
     socle = (spec.relation_degree - 1,) * 2
     assert normal_form(fundamental_class(spec), spec).as_dict() == {socle: 1}
     return socle
-
-
-# --------------------------------------------------------------------------
-# equation/unknown accounting
-# --------------------------------------------------------------------------
-
-#: variable multiplicities of the three monomial families of the strict
-#: transform: (fixed factors, degree of the cubic/quartic part in x1..x3)
-_FAMILIES = (
-    ("x0^2*P3", ((0, 2),), 3),
-    ("x0*x4*Q3", ((0, 1), (4, 1)), 3),
-    ("x4*x5*Q4", ((4, 1), (5, 1)), 4),
-)
-
-
-def dimension_count(s: int, c: int, degree_vector: tuple[int, ...] | None = None) -> dict:
-    """Unknown/equation accounting for coordinate sections of degree_vector.
-
-    equations uses the honest per-family maximum T-degree (+1); the dict also
-    carries the headline accounting (claimed_*) of 5s+c+1 equations against
-    6s+6 unknowns for cross-reference.
-    """
-    if s < 0 or c < 0:
-        raise InvalidParams(f"need s >= 0 and c >= 0, got ({s}, {c})")
-    d = tuple(degree_vector) if degree_vector is not None else (s,) * 6
-    if len(d) != 6 or any(x < 0 for x in d):
-        raise InvalidParams(f"degree_vector needs 6 entries >= 0, got {d!r}")
-    cubic_max = max(d[1], d[2], d[3])
-    family_bounds = {}
-    for name, fixed, part_degree in _FAMILIES:
-        t = sum(d[i] * m for i, m in fixed) + part_degree * cubic_max
-        family_bounds[name] = c + t
-    equations = max(family_bounds.values()) + 1
-    unknowns = sum(x + 1 for x in d)
-    return {
-        "equations": equations,
-        "unknowns": unknowns,
-        "slack": unknowns - equations,
-        "family_degree_bounds": family_bounds,
-        "claimed_equations": 5 * s + c + 1,
-        "claimed_unknowns": 6 * s + 6,
-        "degree_vector": list(d),
-    }

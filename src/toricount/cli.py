@@ -9,7 +9,8 @@ Subcommands
 * ``quintic random|show``   — instance generation and pretty-printing
 * ``chow certify|sweep``    — existence certificates and socle data
 
-Every leaf command takes ``--format`` and ``--out``; ``count`` and
+Every leaf command takes ``--format`` (``table`` or ``json``, and ``csv``
+for ``verify``) and ``--out``; ``count`` and
 ``verify`` also take ``--work-cap`` and ``--stats``, and ``verify`` takes
 ``--timing``. Output is a human table by default; ``--format json`` is the
 machine interface and is byte-identical across reruns for the same arguments
@@ -65,15 +66,9 @@ def _emit(args: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _render(args: argparse.Namespace, payload: dict, table: str, csv_data=None) -> None:
+def _render(args: argparse.Namespace, payload: dict, table: str) -> None:
     if args.format == "json":
         _emit(args, json.dumps(payload, indent=2) + "\n")
-    elif args.format == "csv":
-        if csv_data is None:
-            raise ToricountError("csv output is not available for this command")
-        header, rows = csv_data
-        lines = [",".join(header)] + [",".join(row) for row in rows]
-        _emit(args, "\n".join(lines) + "\n")
     else:
         _emit(args, table.rstrip("\n") + "\n")
 
@@ -331,9 +326,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         lines.append(f"mu        {reports[0].mu}")
     if args.stats:
         lines += [f"{k.ljust(8)}  {v}" for k, v in _stats_pairs([rep.stats for rep in reports])]
-    table = "\n".join(lines)
-    csv_rows = [rep.to_csv_row() for rep in reports]
-    _render(args, payload, table, (list(count.CongruenceReport.CSV_FIELDS), csv_rows))
+    if args.format == "csv":
+        rows = [count.CongruenceReport.CSV_FIELDS] + [rep.to_csv_row() for rep in reports]
+        _emit(args, "".join(",".join(row) + "\n" for row in rows))
+    else:
+        _render(args, payload, "\n".join(lines))
     return EXIT_PASS if not failures else EXIT_VIOLATION
 
 
@@ -416,8 +413,8 @@ def cmd_chow(args: argparse.Namespace) -> int:
 # argument parsing
 # --------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("table", "json", "csv"), default="table")
+def _add_common(p: argparse.ArgumentParser, *formats: str) -> None:
+    p.add_argument("--format", choices=("table", "json", *formats), default="table")
     p.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
 
@@ -481,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
         vp.add_argument("--seed", type=int, default=None)
         vp.add_argument("--policy", choices=quintic.NONZERO_POLICIES, default=None)
         vp.add_argument("--stats", action="store_true", help=_STATS_HELP)
-        _add_common(vp)
+        _add_common(vp, "csv")
         vp.add_argument("--timing", action="store_true", help="include wall-clock fields in output")
         _add_work_cap(vp)
 

@@ -40,7 +40,6 @@ and canonicalizes the kernel's solutions there from per-axis digit tables.
 Congruence checks returned as :class:`CongruenceReport`:
 
 * ``check_cw``       - N ≡ 0 (mod p) when some degree bound d_j < a_j.
-* ``check_cw_projective`` - #X(F_q) ≡ 1 (mod p) for projective hypersurfaces.
 * ``check_ax``       - q^mu | N with mu from the grading.
 * ``check_esnault``  - quotient count of the blown-up quintic ≡ 1 (mod q).
 
@@ -61,6 +60,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Sequence
 
@@ -83,7 +83,6 @@ from .poly import (
     classical_ax_exponent,
     degree_bounds,
     multidegree,
-    standard_grading,
     total_generator_degree,
 )
 
@@ -296,17 +295,6 @@ def _on_strata(axes: list[np.ndarray], strata) -> np.ndarray:
 Box = tuple[int, frozenset]
 
 
-def _tally(stats: dict, rules: Sequence[str] = (), points: int = 0, point_terms: int = 0) -> None:
-    """Add to `stats` the rules fired (`kernel`: a box left to the kernel) and the
-    points and points x terms evaluated."""
-    counts = stats.get("rules", {})
-    for rule in rules:
-        counts[rule] = counts.get(rule, 0) + 1
-    stats["rules"] = dict(sorted(counts.items()))
-    stats["points"] = stats.get("points", 0) + points
-    stats["point_terms"] = stats.get("point_terms", 0) + point_terms
-
-
 def _restrict(P: MultiPoly, keep: Sequence[int], terms) -> MultiPoly:
     """The polynomial of `terms` in the variables `keep`, whose others are constant over them."""
     return MultiPoly(len(keep), P.domain, tuple((tuple(e[i] for i in keep), c) for e, c in terms))
@@ -403,15 +391,14 @@ def _expand(box: Box, q: int) -> tuple[str, list[Child]] | None:
     return None
 
 
-def _plan(
-    roots: Sequence[tuple[int, MultiPoly]], q: int, stats: dict | None = None
-) -> dict[Box, int]:
+def _plan(roots: Sequence[tuple[int, MultiPoly]], q: int, rules: Counter) -> dict[Box, int]:
     """sum k*#Z(P) over the roots (k, P), P over F_q^n, as {box: coefficient}.
 
     Each box is given the cheaper of the kernel on its q^m points and the
     boxes of its first fitting rule; boxes of at most _PLAN_MIN_POINTS points
     are not expanded, and the box (0, {}) counts 1. The roots share what is
-    planned, and `stats`, when given, gains the rules fired.
+    planned, and `rules` gains one count for each box of the plan that a rule
+    expands.
     """
     chosen: dict[Box, tuple[str | None, list[Child]]] = {}
     costs, combos, out = {}, {}, {}
@@ -420,8 +407,9 @@ def _plan(
         if root is None:
             continue
         _cost(root, q, chosen, costs)
-        for leaf, c in _combination(root, chosen, combos, stats).items():
+        for leaf, c in _combination(root, chosen, combos).items():
             out[leaf] = out.get(leaf, 0) + k * c
+    rules.update(rule for box in combos if (rule := chosen[box][0]))
     return {leaf: c for leaf, c in out.items() if c}
 
 
@@ -440,25 +428,21 @@ def _cost(box: Box, q: int, chosen: dict, costs: dict) -> int:
     return costs[box]
 
 
-def _combination(box: Box, chosen: dict, combos: dict, stats: dict | None) -> dict[Box, int]:
+def _combination(box: Box, chosen: dict, combos: dict) -> dict[Box, int]:
     """#Z(box) as {kernel box: coefficient}, following the rules chosen."""
     if box not in combos:
         rule, children = chosen[box]
-        if rule is not None and stats is not None:
-            _tally(stats, [rule])
         out = {box: 1} if rule is None else {}
         for k, child in children:
-            for leaf, c in _combination(child, chosen, combos, stats).items():
+            for leaf, c in _combination(child, chosen, combos).items():
                 out[leaf] = out.get(leaf, 0) + k * c
         combos[box] = {leaf: c for leaf, c in out.items() if c}
     return combos[box]
 
 
-def _run_plan(plan: dict[Box, int], spec: FieldSpec, stats: dict | None = None) -> int:
+def _run_plan(plan: dict[Box, int], spec: FieldSpec) -> int:
     import numpy as np
 
-    if stats is not None:
-        _tally(stats)
     total = 0
     for (m, system), coeff in plan.items():
         if not system:
@@ -467,9 +451,6 @@ def _run_plan(plan: dict[Box, int], spec: FieldSpec, stats: dict | None = None) 
         axes = [np.arange(spec.q)] * m
         n = sum(int(np.count_nonzero(mask)) for _, mask in _zero_masks(system, spec, axes))
         total += coeff * n
-        if stats is not None:
-            points = spec.q ** m
-            _tally(stats, ["kernel"], points, points * sum(len(P.terms) for P in system))
     return total
 
 
@@ -481,14 +462,26 @@ def _count(
 ) -> list[int]:
     """sum k*#Z(P) over the roots (k, P) of each list, over F_q.
 
-    Every list is planned, and the points of all the plans are charged to the
-    work cap together, before anything is evaluated.
+    Every list is planned, and the points of the kernel boxes of all the plans
+    are charged to the work cap together, before anything is evaluated. Then
+    `stats`, when given, gains the rules that fired (``kernel`` for each
+    kernel box), the points charged and their points x terms; a count that
+    raises CapExceeded leaves it untouched.
     """
-    plans = [_plan(roots, spec.q, stats) for roots in root_lists]
-    points = sum(spec.q ** m for plan in plans for m, system in plan if system)
+    rules = Counter()
+    plans = [_plan(roots, spec.q, rules) for roots in root_lists]
+    boxes = [(spec.q ** m, system) for plan in plans for m, system in plan if system]
+    points = sum(n for n, _ in boxes)
     if points > work_cap:
         raise CapExceeded(f"{points} evaluations exceed the work cap {work_cap}")
-    return [_run_plan(plan, spec, stats) for plan in plans]
+    if stats is not None:
+        rules.update("kernel" for _ in boxes)
+        rules.update(stats.get("rules", {}))
+        stats["rules"] = dict(sorted(rules.items()))
+        stats["points"] = stats.get("points", 0) + points
+        point_terms = sum(n * sum(len(P.terms) for P in system) for n, system in boxes)
+        stats["point_terms"] = stats.get("point_terms", 0) + point_terms
+    return [_run_plan(plan, spec) for plan in plans]
 
 
 def affine_count(
@@ -573,29 +566,22 @@ def _toric_counts(
     P: MultiPoly, space: Space, spec: FieldSpec, work_cap: int, stats: dict | None = None
 ) -> tuple[int, int, int, MultiDegree | None]:
     """(N_affine, N_exceptional, N_toric, multidegree of P or None for P = 0), where
-    N_toric = (N_affine - N_exceptional) / (q-1)^r, once `_toric_input` accepts the input."""
-    degree = _toric_input(P, space, spec)
-    return (*_quotient_counts(P, space, spec, work_cap, stats), degree)
-
-
-def _quotient_counts(
-    P: MultiPoly, space: Space, spec: FieldSpec, work_cap: int, stats: dict | None = None
-) -> tuple[int, int, int]:
-    """(N_affine, N_exceptional, N_toric) of an input already checked.
+    N_toric = (N_affine - N_exceptional) / (q-1)^r, once `_toric_input` accepts the input.
 
     The plans of the affine and the exceptional count are charged to one
     work cap before anything is evaluated. Raises NonIntegralQuotient unless
     the division is exact.
     """
-    G = space.grading
+    degree = _toric_input(P, space, spec)
+    r = space.grading.r
     n_aff, n_exc = _count([[(1, P)], _strata_roots(P, space)], spec, work_cap, stats)
-    denom = (spec.q - 1) ** G.r
+    denom = (spec.q - 1) ** r
     diff = n_aff - n_exc
     if diff % denom:
         raise NonIntegralQuotient(
-            f"(N_affine - N_exceptional) = {diff} is not divisible by (q-1)^{G.r} = {denom}"
+            f"(N_affine - N_exceptional) = {diff} is not divisible by (q-1)^{r} = {denom}"
         )
-    return n_aff, n_exc, diff // denom
+    return n_aff, n_exc, diff // denom, degree
 
 
 def toric_count_quotient(
@@ -699,22 +685,6 @@ def check_cw(
         raise HypothesisNotMet(f"degree bounds {d} not below weight sums {a} in any component")
     n = affine_count(P, spec, work_cap=work_cap, stats=stats)
     return _report("CW", spec, start, n, n, spec.p, 0, stats=stats)
-
-
-def check_cw_projective(
-    P: MultiPoly, spec: FieldSpec, *, work_cap: int = DEFAULT_WORK_CAP
-) -> CongruenceReport:
-    """#X(F_q) = (N - 1)/(q - 1) ≡ 1 (mod p) for degree 1 <= d <= n hypersurfaces in P^n."""
-    start = time.monotonic()
-    n = P.nvars - 1
-    d = multidegree(P, standard_grading(P.nvars))[0]  # strict homogeneity: orbits are needed
-    if not 1 <= d <= n:
-        raise HypothesisNotMet(f"degree {d} is outside [1, {n}], the range for P^{n}")
-    # the rest of the toric input check: P^n's grading is free and effective, and it
-    # is the standard grading, in which d was just found
-    _check_poly_field(P, spec)
-    n_aff, _, n_proj = _quotient_counts(P, builtin(f"projective({n})"), spec, work_cap)
-    return _report("CW-projective", spec, start, n_aff, n_proj, spec.p, 1, n_toric=n_proj)
 
 
 def check_ax(

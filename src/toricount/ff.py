@@ -11,8 +11,9 @@ coefficients (n mod p, (n // p) mod p, ...), so F_4 enumerates as
 [0, 1, t, t+1]. The same encoding indexes the numpy tables built here: the
 discrete logarithm and exponential tables of a primitive element, O(q) in
 size, on which the counting kernel runs for every field, and the q x q
-addition and multiplication tables of small fields. Only the functions that
-build them import numpy.
+addition and multiplication tables of small fields. No count reads the q x q
+tables: only perfbench's set-up does, until ROADMAP item 1 drops that read.
+Only the functions that build the tables import numpy.
 """
 
 from __future__ import annotations
@@ -392,7 +393,7 @@ def enumerate_field(spec: FieldSpec) -> tuple[FieldElement, ...]:
 
 
 # --------------------------------------------------------------------------
-# number-theoretic helpers used by the congruence checks
+# power sums, read by acceptance criterion 1 and by no congruence check
 # --------------------------------------------------------------------------
 
 def power_sum(spec: FieldSpec, alpha: int) -> FieldElement:

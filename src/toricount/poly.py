@@ -284,16 +284,6 @@ def degree_bounds(P: MultiPoly, grading: GradingData) -> MultiDegree:
     return tuple(bounds)
 
 
-def is_homogeneous(P: MultiPoly, grading: GradingData) -> bool:
-    if P.is_zero:
-        return True
-    try:
-        multidegree(P, grading)
-        return True
-    except NotHomogeneous:
-        return False
-
-
 def standard_grading(nvars: int) -> GradingData:
     """The rank-1 grading deg x_i = 1 (ordinary total degree)."""
     return GradingData(rho=nvars, r=1, weights=((1,),) * nvars)

@@ -36,7 +36,6 @@ from .ff import FieldElement, FieldSpec, make_field
 from .poly import (
     MultiPoly,
     evaluate,
-    is_homogeneous,
     monomials_of_multidegree,
     multidegree,
     print_poly,
@@ -95,9 +94,10 @@ def _check_part(P: MultiPoly, spec: FieldSpec, degree: int, name: str) -> None:
     if P.domain != spec:
         raise FieldMismatch(f"{name} is over {getattr(P.domain, 'name', P.domain)!s}, instance field is {spec.name}")
     if not P.is_zero:
-        if not is_homogeneous(P, standard_grading(3)):
-            raise InvalidParams(f"{name} must be homogeneous of degree {degree} (or zero)")
-        d = multidegree(P, standard_grading(3))[0]
+        try:
+            d = multidegree(P, standard_grading(3))[0]
+        except NotHomogeneous:
+            raise InvalidParams(f"{name} must be homogeneous of degree {degree} (or zero)") from None
         if d != degree:
             raise InvalidParams(f"{name} has degree {d}, expected {degree}")
 

@@ -9,7 +9,10 @@ normal forms, and the ring A_s by sympy's Groebner basis for grevlex with
 x > v (the library divides for v > x), by the Gorenstein-trace recurrence and
 by its closed form for gamma. The Chow-ring helpers that only tests use
 (the class u = x + v, products of classes, and the recomputation of a
-membership certificate from its cofactors) live here too.
+membership certificate from its cofactors) live here too, as does the
+equation/unknown accounting of the coordinate sections of the strict
+transform; ``TsenCertificate.equations`` and ``unknowns`` report the
+headline 5s+c+1 against 6s+6.
 """
 
 from __future__ import annotations
@@ -277,6 +280,45 @@ def check_cofactors(c: MultiPoly, spec: ChowRingSpec, result: MembershipResult) 
     g1, g2 = relations(spec)
     p, q = result.cofactors
     return g1 * p + g2 * q == c
+
+
+#: variable multiplicities of the three monomial families of the strict
+#: transform: (fixed factors, degree of the cubic/quartic part in x1..x3)
+_FAMILIES = (
+    ("x0^2*P3", ((0, 2),), 3),
+    ("x0*x4*Q3", ((0, 1), (4, 1)), 3),
+    ("x4*x5*Q4", ((4, 1), (5, 1)), 4),
+)
+
+
+def dimension_count(s: int, c: int, degree_vector: tuple[int, ...] | None = None) -> dict:
+    """Unknown/equation accounting for coordinate sections of degree_vector.
+
+    equations uses the honest per-family maximum T-degree (+1); the dict also
+    carries the headline accounting (claimed_*) of 5s+c+1 equations against
+    6s+6 unknowns for cross-reference.
+    """
+    if s < 0 or c < 0:
+        raise InvalidParams(f"need s >= 0 and c >= 0, got ({s}, {c})")
+    d = tuple(degree_vector) if degree_vector is not None else (s,) * 6
+    if len(d) != 6 or any(x < 0 for x in d):
+        raise InvalidParams(f"degree_vector needs 6 entries >= 0, got {d!r}")
+    cubic_max = max(d[1], d[2], d[3])
+    family_bounds = {}
+    for name, fixed, part_degree in _FAMILIES:
+        t = sum(d[i] * m for i, m in fixed) + part_degree * cubic_max
+        family_bounds[name] = c + t
+    equations = max(family_bounds.values()) + 1
+    unknowns = sum(x + 1 for x in d)
+    return {
+        "equations": equations,
+        "unknowns": unknowns,
+        "slack": unknowns - equations,
+        "family_degree_bounds": family_bounds,
+        "claimed_equations": 5 * s + c + 1,
+        "claimed_unknowns": 6 * s + 6,
+        "degree_vector": list(d),
+    }
 
 
 def union_subspace_count(space: Space, q: int) -> int:

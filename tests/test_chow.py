@@ -11,7 +11,6 @@ from toricount.chow import (
     class_degree,
     class_v,
     class_x,
-    dimension_count,
     display_xu,
     display_xv,
     fundamental_class,
@@ -33,6 +32,7 @@ from oracles import (
     check_cofactors,
     class_u,
     closed_form_gamma,
+    dimension_count,
     groebner_gamma,
     groebner_hilbert,
     groebner_is_zero,

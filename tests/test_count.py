@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+from collections import Counter
 from math import comb
 from unittest import mock
 
@@ -14,7 +16,6 @@ from toricount.count import (
     blowup_p4_space,
     check_ax,
     check_cw,
-    check_cw_projective,
     check_esnault,
     exceptional_on_hypersurface,
     toric_count_orbits,
@@ -378,8 +379,10 @@ def test_work_budget_covers_plan_and_strata(monkeypatch):
     assert check_esnault(inst, work_cap=total).n_toric == rep.n_toric
     # the strict transform restricts to 0 on both strata, so they cost no points
     assert exceptional_on_hypersurface(P, BLOWUP, spec, work_cap=0) == rep.n_exceptional
+    untouched = {}
     with pytest.raises(CapExceeded):
-        affine_count(P, spec, work_cap=total - 1)
+        affine_count(P, spec, work_cap=total - 1, stats=untouched)
+    assert untouched == {}  # a refused count records nothing
     assert affine_count(P, spec, work_cap=total) == rep.n_affine
     # F restricts to x0^2*x5 + x4^2*x5 on x1 = x2 = x3 = 0, which leaves a kernel box;
     # the affine and exceptional plans are charged together, before any evaluation
@@ -460,24 +463,6 @@ def test_check_esnault_computes_the_multidegree_once(monkeypatch):
     monkeypatch.setattr(count, "multidegree", multidegree)
     rep = check_esnault(random_instance(F3, 4))
     assert calls == [6] and rep.mu == 1
-
-
-def test_check_cw_projective_computes_the_multidegree_once(monkeypatch):
-    calls = []
-
-    def multidegree(P, G):
-        calls.append(P.nvars)
-        return real(P, G)
-
-    real = count.multidegree
-    monkeypatch.setattr(count, "multidegree", multidegree)
-    rep = check_cw_projective(parse("x0^2 + x1*x2", 3, F5), F5)
-    assert calls == [3] and rep.passed
-    # the degree hypothesis is still checked before the field
-    with pytest.raises(HypothesisNotMet):
-        check_cw_projective(parse("x0^5*x1", 5, F3), F5)
-    with pytest.raises(FieldMismatch):
-        check_cw_projective(parse("x0^2 + x1*x2", 3, F3), F5)
 
 
 # ---------------------------------------------------------------------------
@@ -563,9 +548,9 @@ def test_exceptional_count_plans_the_strata():
         exceptional=ExceptionalSet(strata=((0,), (1, 2))),
     )
     P = parse("x1*x2 + x2^2 - x1 + 1 + x0*x1^2", 3, spec)
-    stats = {}
-    count._plan(count._strata_roots(P, space), spec.q, stats)
-    assert stats["rules"].get("linear", 0) > 0, stats
+    rules = Counter()
+    count._plan(count._strata_roots(P, space), spec.q, rules)
+    assert rules["linear"] > 0, rules
     assert exceptional_on_hypersurface(P, space, spec) == naive_exceptional_count(P, space, spec)
 
 
@@ -754,18 +739,23 @@ def test_check_cw_weighted_double_cover(spec):
     assert rep.passed
 
 
-def test_check_cw_projective():
-    for s in range(5):
-        P = random_homogeneous(standard_grading(5), (3,), F3, SplitMix64(s))
-        rep = check_cw_projective(P, F3)
-        assert rep.passed
-        assert rep.n_toric == (rep.n_affine - 1) // 2
+def test_check_cw_on_projective_space():
+    # X_d in P^n with d <= n: N = 1 + (q-1)*#X and q ≡ 0 (mod p), so N ≡ 0 iff #X ≡ 1
+    for spec in (F2, F3, F4, F5):
+        for n in range(2, 5):
+            space = builtin(f"projective({n})")
+            for d, seed in itertools.product(range(1, n + 1), range(3)):
+                P = random_homogeneous(space.grading, (d,), spec, SplitMix64(seed))
+                rep = check_cw(P, space.grading, spec)
+                n_proj = toric_count_quotient(P, space, spec)
+                case = (spec.name, n, d, seed)
+                assert rep.passed and rep.n_affine == 1 + (spec.q - 1) * n_proj, case
+                assert n_proj % spec.p == 1, case
     with pytest.raises(HypothesisNotMet):
-        check_cw_projective(parse("x0^5*x1", 5, F3), F3)
-    # a nonzero constant (degree 0) cuts out no hypersurface
+        check_cw(parse("x0^5*x1", 6, F3), builtin("projective(5)").grading, F3)
+    # a nonzero constant cuts out nothing: no point, not -1 of them
     for spec in (F2, F3):
-        with pytest.raises(HypothesisNotMet):
-            check_cw_projective(MultiPoly.constant(3, spec, 1), spec)
+        assert toric_count_quotient(MultiPoly.constant(3, spec, 1), P2, spec) == 0
 
 
 def test_check_ax():
