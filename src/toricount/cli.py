@@ -374,6 +374,7 @@ def cmd_chow(args: argparse.Namespace) -> int:
     if args.subcommand == "sweep":
         if args.s_max < 0:
             raise InvalidParams(f"s_max must be >= 0, got {args.s_max}")
+        chow.ChowRingSpec(args.s_max)  # refuses s_max above chow.MAX_S before any certificate
         certs = [chow.tsen_certificate(s, args.c) for s in range(args.s_max + 1)]
         min_s = next((cert.s for cert in certs if cert.nonzero), None)
         payload = {

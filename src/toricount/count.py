@@ -62,6 +62,7 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from . import quintic as quintic_mod
@@ -161,9 +162,7 @@ class CongruenceReport:
 
 def _check_poly_field(P: MultiPoly, spec: FieldSpec) -> None:
     if P.domain != spec:
-        raise FieldMismatch(
-            f"polynomial over {getattr(P.domain, 'name', P.domain)!s}, counting over {spec.name}"
-        )
+        raise FieldMismatch(f"polynomial over {P.domain.name}, counting over {spec.name}")
 
 
 def _axis_view(values: np.ndarray, i: int, rho: int) -> np.ndarray:
@@ -327,31 +326,17 @@ def _box(m: int, polys) -> Box | None:
     return m, frozenset(kept)
 
 
-def _orthogonal(lattice: list[list[int]], row: list[int]) -> list[list[int]]:
-    """Generators of the vectors sum a_k*lattice[k] with sum a_k*row[k] = 0.
-
-    The integer kernel of the one-row matrix `row` is read off the unimodular
-    transform of its column Hermite normal form.
-    """
-    if not any(row):
-        return lattice
-    U = _column_hnf([row])[1]
-    m = len(lattice[0])
-    return [
-        [sum(U[k][col] * c[i] for k, c in enumerate(lattice)) for i in range(m)]
-        for col in range(len(lattice) - 1)
-    ]
-
-
 def _homogeneity_lattice(system, m: int) -> list[list[int]]:
-    """Generators of the integer weightings c in Z^m that make every polynomial c-homogeneous."""
-    lattice = [[int(i == j) for j in range(m)] for i in range(m)]
-    for P in system:
-        first = P.terms[0][0]
-        for e, _ in P.terms[1:]:
-            row = [sum((a - b) * x for a, b, x in zip(e, first, c)) for c in lattice]
-            lattice = _orthogonal(lattice, row)
-    return lattice
+    """Generators of the integer weightings c in Z^m that make every polynomial c-homogeneous.
+
+    They are the integer kernel of the matrix D whose rows are the exponent
+    differences between each polynomial's terms and its first term, read off
+    one column Hermite normal form D*U = [0 | H] as the first m - rank columns
+    of U, the way `fan.grading_from_fan` reads the relations among the rays.
+    """
+    D = [[a - b for a, b in zip(e, P.terms[0][0])] for P in system for e, _ in P.terms[1:]]
+    H, U = _column_hnf(D or [[0] * m])  # with no differences, U is the identity
+    return [list(col) for col in zip(*U)][: m - len(H[0])]
 
 
 Child = tuple[int, Box]
@@ -709,14 +694,9 @@ def check_ax(
     )
 
 
-_BLOWUP_SPACE: Space | None = None
-
-
+@cache
 def blowup_p4_space() -> Space:
-    global _BLOWUP_SPACE
-    if _BLOWUP_SPACE is None:
-        _BLOWUP_SPACE = builtin("blowup_p4_line")
-    return _BLOWUP_SPACE
+    return builtin("blowup_p4_line")
 
 
 def check_esnault(

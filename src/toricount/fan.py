@@ -24,7 +24,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import (
     CapExceeded,
@@ -65,12 +65,26 @@ class Fan:
 
 @dataclass(frozen=True)
 class GradingData:
-    """Multigrading of the coordinate ring: one weight row per variable."""
+    """Multigrading of the coordinate ring: one weight row per variable.
 
-    rho: int
-    r: int
-    weights: tuple[tuple[int, ...], ...]  # rho rows, r entries each
+    Only the weights and the torsion are stored: rho, the number of variables, is
+    the row count and r, the rank of the free part, the row length (0 without rows).
+    """
+
+    weights: tuple[tuple[int, ...], ...]
     torsion: tuple[int, ...] = ()
+
+    def __post_init__(self) -> None:
+        if len({len(row) for row in self.weights}) > 1:
+            raise InvalidParams(f"weight rows of unequal length: {self.weights}")
+
+    @property
+    def rho(self) -> int:
+        return len(self.weights)
+
+    @property
+    def r(self) -> int:
+        return len(self.weights[0]) if self.weights else 0
 
     @property
     def is_effective(self) -> bool:
@@ -98,13 +112,6 @@ class Space:
 # validation
 # --------------------------------------------------------------------------
 
-def _gcd_all(v: Iterable[int]) -> int:
-    g = 0
-    for x in v:
-        g = math.gcd(g, x)
-    return g
-
-
 def validate(fan: Fan) -> Fan:
     """Check all fan invariants; returns the fan for chaining."""
     if fan.dim < 1:
@@ -114,7 +121,7 @@ def validate(fan: Fan) -> Fan:
     for i, ray in enumerate(fan.rays):
         if len(ray) != fan.dim:
             raise InvalidParams(f"ray {i} has length {len(ray)}, expected {fan.dim}")
-        if _gcd_all(ray) != 1:
+        if math.gcd(*ray) != 1:
             raise NonPrimitiveRay(f"ray {i} = {ray} is zero or imprimitive")
     seen = set(fan.rays)
     if len(seen) != fan.rho:
@@ -263,11 +270,11 @@ def grading_from_fan(fan: Fan, require_free: bool = True) -> GradingData:
         )
     r = rho - rank
     if r == 0:
-        return GradingData(rho=rho, r=0, weights=tuple(() for _ in range(rho)), torsion=torsion)
+        return GradingData(weights=((),) * rho, torsion=torsion)
     # the first r columns of U are a basis of ker N^T, the relations among the
     # rays; row i holds the free-part coordinates of [e_i]
     W = [row[:r] for row in U]
-    return GradingData(rho=rho, r=r, weights=_normalize_weights(W), torsion=torsion)
+    return GradingData(weights=_normalize_weights(W), torsion=torsion)
 
 
 def _charge(work: int) -> int:
@@ -375,12 +382,10 @@ def weighted_space(*weights: int) -> Space:
     """
     if len(weights) < 2 or any(a < 1 for a in weights):
         raise InvalidParams(f"weights must be >= 1 integers, got {weights}")
-    rho = len(weights)
-    grading = GradingData(rho=rho, r=1, weights=tuple((int(a),) for a in weights))
     return Space(
         name=f"weighted({','.join(str(a) for a in weights)})",
-        grading=grading,
-        exceptional=ExceptionalSet(strata=(tuple(range(rho)),)),
+        grading=GradingData(weights=tuple((int(a),) for a in weights)),
+        exceptional=ExceptionalSet(strata=(tuple(range(len(weights))),)),
         fan=None,
     )
 

@@ -159,8 +159,8 @@ class MultiPoly:
     def _compatible(self, other: "MultiPoly") -> None:
         if self.nvars != other.nvars or self.domain != other.domain:
             raise ArityMismatch(
-                f"incompatible polynomials: {self.nvars} vars over {_dom_name(self.domain)} "
-                f"vs {other.nvars} vars over {_dom_name(other.domain)}"
+                f"incompatible polynomials: {self.nvars} vars over {self.domain.name} "
+                f"vs {other.nvars} vars over {other.domain.name}"
             )
 
     # -- ring operations -------------------------------------------------------
@@ -240,10 +240,6 @@ class MultiPoly:
         return print_poly(self)
 
 
-def _dom_name(domain: Domain) -> str:
-    return domain.name if hasattr(domain, "name") else repr(domain)
-
-
 # --------------------------------------------------------------------------
 # degrees
 # --------------------------------------------------------------------------
@@ -286,7 +282,7 @@ def degree_bounds(P: MultiPoly, grading: GradingData) -> MultiDegree:
 
 def standard_grading(nvars: int) -> GradingData:
     """The rank-1 grading deg x_i = 1 (ordinary total degree)."""
-    return GradingData(rho=nvars, r=1, weights=((1,),) * nvars)
+    return GradingData(weights=((1,),) * nvars)
 
 
 def total_generator_degree(grading: GradingData) -> MultiDegree:
@@ -356,7 +352,7 @@ def substitute(P: MultiPoly, images: Sequence[MultiPoly]) -> MultiPoly:
             raise ArityMismatch("images disagree on variable count or domain")
     if P.domain != dom:
         raise ArityMismatch(
-            f"polynomial domain {_dom_name(P.domain)} differs from image domain {_dom_name(dom)}"
+            f"polynomial domain {P.domain.name} differs from image domain {dom.name}"
         )
     result = MultiPoly.zero(m, dom)
     pow_cache: dict[tuple[int, int], MultiPoly] = {}
@@ -580,7 +576,7 @@ class _Parser:
             self.pos += 1
             if not (isinstance(self.domain, FieldSpec) and self.domain.f > 1):
                 raise CoefficientNotInDomain(
-                    f"generator t is not an element of {_dom_name(self.domain)}", start, self.text
+                    f"generator t is not an element of {self.domain.name}", start, self.text
                 )
             return MultiPoly.constant(self.nvars, self.domain, self.domain.gen())
         if ch.isdigit():
@@ -588,7 +584,7 @@ class _Parser:
             if self._peek() == "/":
                 if self.domain is not QQ:
                     raise CoefficientNotInDomain(
-                        f"fractions are not elements of {_dom_name(self.domain)}",
+                        f"fractions are not elements of {self.domain.name}",
                         self.pos,
                         self.text,
                     )

@@ -92,7 +92,7 @@ def _check_part(P: MultiPoly, spec: FieldSpec, degree: int, name: str) -> None:
     if P.nvars != 3:
         raise InvalidParams(f"{name} must have 3 variables, got {P.nvars}")
     if P.domain != spec:
-        raise FieldMismatch(f"{name} is over {getattr(P.domain, 'name', P.domain)!s}, instance field is {spec.name}")
+        raise FieldMismatch(f"{name} is over {P.domain.name}, instance field is {spec.name}")
     if not P.is_zero:
         try:
             d = multidegree(P, standard_grading(3))[0]

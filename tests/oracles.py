@@ -4,10 +4,11 @@ Everything here recomputes results through a different code path than the
 module under test: counting by per-point evaluation over term data, orbit
 counting by explicit orbit-set construction, the blown-up quintic by its
 fibers over (x1, x2, x3), the exceptional set by inclusion-exclusion over its
-strata, zeros on the exceptional set point by point, fan gradings by sympy's Smith and Hermite
-normal forms, and the ring A_s by sympy's Groebner basis for grevlex with
-x > v (the library divides for v > x), by the Gorenstein-trace recurrence and
-by its closed form for gamma. The Chow-ring helpers that only tests use
+strata, zeros on the exceptional set point by point, the planner's
+homogeneity lattice one exponent difference at a time, fan gradings by
+sympy's Smith and Hermite normal forms, and the ring A_s by sympy's Groebner
+basis for grevlex with x > v (the library divides for v > x), by the
+Gorenstein-trace recurrence and by its closed form for gamma. The Chow-ring helpers that only tests use
 (the class u = x + v, products of classes, and the recomputation of a
 membership certificate from its cofactors) live here too, as does the
 equation/unknown accounting of the coordinate sections of the strict
@@ -34,7 +35,7 @@ from toricount.errors import (
     NonEffectiveGrading,
     TorsionClassGroup,
 )
-from toricount.fan import Fan, GradingData, Space, validate
+from toricount.fan import Fan, GradingData, Space, _column_hnf, validate
 from toricount.ff import FieldElement, FieldSpec, enumerate_field
 from toricount.poly import MultiPoly, evaluate, multidegree
 from toricount.quintic import QuinticInstance
@@ -332,6 +333,31 @@ def union_subspace_count(space: Space, q: int) -> int:
     return total
 
 
+def rowwise_homogeneity_lattice(system: Sequence[MultiPoly], m: int) -> list[list[int]]:
+    """The planner's homogeneity lattice built one exponent difference at a time.
+
+    Generators of the c in Z^m that make every polynomial of `system`
+    c-homogeneous. Starting from Z^m, each difference e - e' between a term and
+    its polynomial's first term cuts the lattice to its vectors orthogonal to
+    e - e': the integer kernel of the one-row matrix of pairings with the
+    current generators is read off the unimodular transform of its column
+    Hermite normal form.
+    """
+    lattice = [[int(i == j) for j in range(m)] for i in range(m)]
+    for P in system:
+        first = P.terms[0][0]
+        for e, _ in P.terms[1:]:
+            row = [sum((a - b) * x for a, b, x in zip(e, first, c)) for c in lattice]
+            if not any(row):
+                continue
+            U = _column_hnf([row])[1]
+            lattice = [
+                [sum(U[k][col] * c[i] for k, c in enumerate(lattice)) for i in range(m)]
+                for col in range(len(lattice) - 1)
+            ]
+    return lattice
+
+
 def scaling_character(
     P: MultiPoly,
     grading: GradingData,
@@ -393,11 +419,11 @@ def sympy_grading(fan: Fan, require_free: bool = True) -> GradingData:
     rho = fan.rho
     r = rho - rank
     if r == 0:
-        return GradingData(rho=rho, r=0, weights=tuple(() for _ in range(rho)), torsion=torsion)
+        return GradingData(weights=tuple(() for _ in range(rho)), torsion=torsion)
     W = U[rank:, :].T  # rho x r; row i = free-part coordinates of [e_i]
     W = _sympy_normalize_weights(W)
     weights = tuple(tuple(int(W[i, j]) for j in range(r)) for i in range(rho))
-    return GradingData(rho=rho, r=r, weights=weights, torsion=torsion)
+    return GradingData(weights=weights, torsion=torsion)
 
 
 def _sympy_normalize_weights(W: Matrix) -> Matrix:

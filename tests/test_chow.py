@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from toricount.chow import (
+    MAX_S,
     ChowRingSpec,
     TsenCertificate,
     class_degree,
@@ -24,7 +25,7 @@ from toricount.chow import (
     tsen_certificate,
 )
 from toricount.cli import EXIT_INPUT, EXIT_PASS, main
-from toricount.errors import InvalidParams, NotHomogeneous
+from toricount.errors import CapExceeded, InvalidParams, NotHomogeneous
 from toricount.poly import QQ, MultiPoly, parse
 from toricount.rng import SplitMix64
 
@@ -85,6 +86,12 @@ def test_relations_s0():
 def test_spec_validation():
     with pytest.raises(InvalidParams):
         ChowRingSpec(-1)
+    # s is bounded like any other work: one certificate near MAX_S takes about a second
+    assert ChowRingSpec(MAX_S).s == MAX_S
+    with pytest.raises(CapExceeded, match=f"largest supported s, {MAX_S}"):
+        ChowRingSpec(MAX_S + 1)
+    with pytest.raises(CapExceeded):
+        tsen_certificate(10**6, 0)
 
 
 def test_power_and_degree():

@@ -494,6 +494,12 @@ def test_chow_invalid_params(capsys):
     assert code == EXIT_INPUT
     code, out, err = run(capsys, "chow", "sweep", "--c", "0", "--s-max", "-1")
     assert code == EXIT_INPUT and out == "" and "s_max" in err
+    # s above chow.MAX_S is refused before any certificate is computed
+    for argv in (["certify", "--s", "1000000", "--c", "0"], ["sweep", "--c", "0", "--s-max", "1000000"]):
+        t0 = time.monotonic()
+        code, out, err = run(capsys, "chow", *argv)
+        assert time.monotonic() - t0 < 1.0, argv
+        assert code == EXIT_INPUT and out == "" and "largest supported s" in err, argv
 
 
 def test_chow_certify_large_s_and_exponent_finish(capsys):

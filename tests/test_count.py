@@ -1,12 +1,13 @@
 import dataclasses
 import itertools
 from collections import Counter
-from math import comb
+from math import comb, gcd
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy import Matrix
 
 from toricount import count
 from toricount.count import (
@@ -20,6 +21,7 @@ from toricount.count import (
     exceptional_on_hypersurface,
     toric_count_orbits,
     toric_count_quotient,
+    _homogeneity_lattice,
     _zero_masks,
 )
 from toricount.errors import (
@@ -64,6 +66,7 @@ from oracles import (
     naive_exceptional_count,
     naive_toric_orbits,
     naive_zero_mask,
+    rowwise_homogeneity_lattice,
     union_subspace_count,
 )
 
@@ -289,14 +292,19 @@ def test_planned_count_matches_kernel_and_fiber_oracle(p, f):
             assert planned == naive_affine_count(P, spec)
 
 
+#: (field, variables) pairs whose grids are above `count._PLAN_MIN_POINTS`
+SHAPED_GRIDS = [(F2, 15), (F3, 9), (F4, 8), (F5, 7), (F9, 5)]
+
+
 @st.composite
-def shaped_poly(draw):
+def shaped_poly(draw, grid=None):
     """A polynomial drawn so that each planner rule has inputs it fits.
 
-    Its grid is above `count._PLAN_MIN_POINTS`, the smallest box the planner
-    expands, so that the rules apply at the root.
+    Its grid, drawn from SHAPED_GRIDS unless given, is above
+    `count._PLAN_MIN_POINTS`, the smallest box the planner expands, so that
+    the rules apply at the root.
     """
-    spec, nvars = draw(st.sampled_from([(F2, 15), (F3, 9), (F4, 8), (F5, 7), (F9, 5)]))
+    spec, nvars = grid or draw(st.sampled_from(SHAPED_GRIDS))
 
     def terms(n, max_exp=2):
         return {
@@ -332,6 +340,29 @@ def test_planner_matches_kernel(P):
     assert affine_count(P, P.domain, stats=stats) == kernel_count(P, P.domain)
     # a rule is taken only when it shrinks the work below the full grid
     assert stats["points"] <= P.domain.q ** P.nvars
+
+
+@st.composite
+def shaped_system(draw):
+    """The nonzero ones of one to three `shaped_poly` polynomials on one grid, and its m."""
+    grid = draw(st.sampled_from(SHAPED_GRIDS))
+    polys = draw(st.lists(shaped_poly(grid), min_size=1, max_size=3))
+    return [P for P in polys if not P.is_zero], grid[1]
+
+
+@settings(deadline=None)
+@given(shaped_system())
+def test_homogeneity_lattice_matches_rowwise_oracle(system_m):
+    # one HNF of all the exponent differences against one HNF per difference
+    system, m = system_m
+    lattice = _homogeneity_lattice(system, m)
+    reference = rowwise_homogeneity_lattice(system, m)
+    for c in lattice:
+        for P in system:
+            assert len({sum(a * x for a, x in zip(e, c)) for e, _ in P.terms}) == 1
+    assert Matrix(lattice).rank() == Matrix(reference).rank()
+    for j in range(m):  # the gcd the chart rule reads does not depend on the basis
+        assert gcd(*(c[j] for c in lattice)) == gcd(*(c[j] for c in reference))
 
 
 SQUARES = " + ".join(f"x{i}^2" for i in range(1, 9))
@@ -506,7 +537,7 @@ P1_CUBED = space_from_fan(
 #: and V_(0) comes twice, so most unions merge to coefficient 0
 NESTED = Space(
     name="nested-strata",
-    grading=GradingData(rho=4, r=1, weights=((1,),) * 4),
+    grading=GradingData(weights=((1,),) * 4),
     exceptional=ExceptionalSet(strata=((0,), (0, 1), (2, 3), (0,), (1, 2, 3))),
 )
 
@@ -544,7 +575,7 @@ def test_exceptional_count_plans_the_strata():
     spec = make_field(131)
     space = Space(
         name="two-strata",
-        grading=GradingData(rho=3, r=1, weights=((1,),) * 3),
+        grading=GradingData(weights=((1,),) * 3),
         exceptional=ExceptionalSet(strata=((0,), (1, 2))),
     )
     P = parse("x1*x2 + x2^2 - x1 + 1 + x0*x1^2", 3, spec)
@@ -623,7 +654,7 @@ def test_weighted_grading_stabilizers():
 #: so the orbit count evaluates the whole grid
 EVEN_WEIGHTS = Space(
     name="weights(2,2)",
-    grading=GradingData(rho=2, r=1, weights=((2,), (2,))),
+    grading=GradingData(weights=((2,), (2,))),
     exceptional=ExceptionalSet(strata=((0, 1),)),
 )
 
@@ -677,7 +708,7 @@ def test_quotient_requires_free_grading():
         space_from_fan(fan, name="torsion")
     torsion_space = Space(
         name="synthetic-torsion",
-        grading=GradingData(rho=2, r=1, weights=((1,), (1,)), torsion=(2,)),
+        grading=GradingData(weights=((1,), (1,)), torsion=(2,)),
         exceptional=ExceptionalSet(strata=((0, 1),)),
     )
     with pytest.raises(TorsionClassGroup):
@@ -685,7 +716,7 @@ def test_quotient_requires_free_grading():
     # a weight column with mixed signs is not an effective grading
     mixed_space = Space(
         name="synthetic-mixed",
-        grading=GradingData(rho=2, r=1, weights=((1,), (-1,)), torsion=()),
+        grading=GradingData(weights=((1,), (-1,)), torsion=()),
         exceptional=ExceptionalSet(strata=((0, 1),)),
     )
     with pytest.raises(NonEffectiveGrading):
@@ -697,7 +728,7 @@ def test_non_integral_quotient_guard():
     # so (N_affine - N_exceptional) is not divisible by q - 1.
     space = Space(
         name="affine-line",
-        grading=GradingData(rho=1, r=1, weights=((1,),), torsion=()),
+        grading=GradingData(weights=((1,),), torsion=()),
         exceptional=ExceptionalSet(strata=()),
     )
     with pytest.raises(NonIntegralQuotient):

@@ -5,8 +5,9 @@ import pytest
 from sympy import Matrix
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_decomp
 
-from toricount.count import exceptional_on_hypersurface
+from toricount.count import check_ax, check_cw, exceptional_on_hypersurface
 from toricount.errors import (
+    ArityMismatch,
     CapExceeded,
     InvalidParams,
     NonEffectiveGrading,
@@ -33,8 +34,8 @@ from toricount.fan import (
     unimodular_column_equivalent,
     weighted_space,
 )
-from toricount.ff import parse_field_name
-from toricount.poly import MultiPoly
+from toricount.ff import make_field, parse_field_name
+from toricount.poly import MultiPoly, degree_bounds, multidegree, parse
 from toricount.rng import SplitMix64
 
 from oracles import sympy_grading, union_subspace_count
@@ -304,5 +305,27 @@ def test_space_from_fan_names():
 
 
 def test_grading_data_effectiveness():
-    assert GradingData(rho=2, r=1, weights=((1,), (2,))).is_effective
-    assert not GradingData(rho=2, r=1, weights=((1,), (-2,))).is_effective
+    assert GradingData(weights=((1,), (2,))).is_effective
+    assert not GradingData(weights=((1,), (-2,))).is_effective
+
+
+def test_grading_shape_comes_from_its_weights():
+    # rho is the number of weight rows and r their common length, so they cannot disagree
+    G = GradingData(weights=((1, 0), (1, 1), (0, 1)))
+    assert (G.rho, G.r) == (3, 2)
+    for weights, rho in ((((),) * 3, 3), ((), 0)):
+        assert (GradingData(weights=weights).rho, GradingData(weights=weights).r) == (rho, 0)
+    with pytest.raises(InvalidParams, match="unequal length"):
+        GradingData(weights=((1,), (1, 2)))
+    # a polynomial in another number of variables than the grading has rows is refused
+    # with a typed error, never an IndexError
+    spec = make_field(5)
+    G = GradingData(weights=((1,), (1,)))
+    for nvars in (1, 3):
+        P = parse(" + ".join(f"x{i}" for i in range(nvars)), nvars, spec)
+        for check in (multidegree, degree_bounds):
+            with pytest.raises(ArityMismatch):
+                check(P, G)
+        for check in (check_cw, check_ax):
+            with pytest.raises(ArityMismatch):
+                check(P, G, spec)
