@@ -24,10 +24,11 @@ v is nonnegative) the socle coefficient gamma with
     (5x + 2v)^E * v^(6s+4-E)  =  gamma * x^(3s+2) (x+v)^(2s+2) v^s   (mod ideal)
 
 is the coefficient of x^(3s+2) v^(3s+2) in the normal form of the left side.
-gamma's sign and integrality are reported as data. v is the exceptional
-class and is not nef, so nothing fixes the sign of gamma (it is negative for
-c <= 1); positivity holds for the pairing with the nef, big class u = x + v
-instead, which the acceptance suite checks.
+gamma is an integer (the division keeps integral input integral), and its
+sign is reported as data. v is the exceptional class and is not nef, so
+nothing fixes the sign of gamma (it is negative for c <= 1); positivity holds
+for the pairing with the nef, big class u = x + v instead, which the
+acceptance suite checks.
 
 Classes are plain bivariate polynomials (variables x = x0 and v = x1 of the
 underlying representation); ``power`` and ``section_class`` never reduce —
@@ -49,6 +50,10 @@ from .poly import QQ, MultiPoly, multidegree, print_poly, standard_grading, subs
 #: Largest s accepted. One certificate's division grows about as s^3 to s^4: on a
 #: 2-CPU Xeon it took 0.13 s at s = 100, 0.88 s at 200, 6.4 s at 400 and 98 s at 800.
 MAX_S = 200
+
+#: Largest summed cost of a ``chow sweep``, (s+1)^3 for each certificate that divides: on
+#: the same Xeon, sweeps to s_max = 40, 61 (the largest accepted) and 100 took 0.7, 2 and 7 s.
+MAX_SWEEP_COST = 4 * 10**6
 
 
 # --------------------------------------------------------------------------
@@ -240,8 +245,8 @@ class TsenCertificate:
     Only s, c, E, default_E, nonzero, gamma and socle_dim are stored; the
     other fields of ``to_dict`` are read-only properties derived from them:
     within_socle (E <= 6s+4, the top degree), gamma_positive (None without
-    gamma), gamma_integral (True with gamma, which is an integer, and None
-    without), equations (E) and unknowns (6s+6).
+    gamma), equations (E) and unknowns (6s+6). gamma is an int, or None
+    when 6s+4-E < 0.
     """
 
     s: int
@@ -261,10 +266,6 @@ class TsenCertificate:
         return None if self.gamma is None else self.gamma > 0
 
     @property
-    def gamma_integral(self) -> bool | None:
-        return None if self.gamma is None else True
-
-    @property
     def equations(self) -> int:
         return self.E
 
@@ -282,7 +283,6 @@ class TsenCertificate:
             "within_socle": self.within_socle,
             "gamma": self.gamma,
             "gamma_positive": self.gamma_positive,
-            "gamma_integral": self.gamma_integral,
             "equations": self.equations,
             "unknowns": self.unknowns,
             "socle_dim": self.socle_dim,

@@ -30,7 +30,7 @@ import sys
 from collections import Counter
 
 from . import chow, count, quintic
-from .errors import InvalidParams, PolyParseError, ToricountError
+from .errors import CapExceeded, InvalidParams, PolyParseError, ToricountError
 from .fan import (
     BUILTIN_TEMPLATES,
     Space,
@@ -355,7 +355,7 @@ def cmd_quintic(args: argparse.Namespace) -> int:
         "ambient": print_poly(ambient),
         "strict_transform": print_poly(strict),
         "bidegree": list(multidegree(strict, blowup.grading)),
-        "pullback_identity": quintic.pullback_identity_check(inst, trials=args.trials, seed=0),
+        "pullback_identity": quintic.pullback_identity_check(inst),
     }
     table = "\n".join(
         [
@@ -375,6 +375,12 @@ def cmd_chow(args: argparse.Namespace) -> int:
         if args.s_max < 0:
             raise InvalidParams(f"s_max must be >= 0, got {args.s_max}")
         chow.ChowRingSpec(args.s_max)  # refuses s_max above chow.MAX_S before any certificate
+        # only the certificates with E = 5s+c+1 <= 6s+4, that is s >= c-3, divide
+        cost = sum((s + 1) ** 3 for s in range(max(0, args.c - 3), args.s_max + 1))
+        if cost > chow.MAX_SWEEP_COST:
+            raise CapExceeded(
+                f"a sweep to s_max = {args.s_max} costs {cost}, more than {chow.MAX_SWEEP_COST}"
+            )
         certs = [chow.tsen_certificate(s, args.c) for s in range(args.s_max + 1)]
         min_s = next((cert.s for cert in certs if cert.nonzero), None)
         payload = {
@@ -495,7 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
     qp.add_argument("--field", default=None)
     qp.add_argument("--seed", type=int, default=None)
     qp.add_argument("--policy", choices=quintic.NONZERO_POLICIES, default=None)
-    qp.add_argument("--trials", type=int, default=8)
     _add_common(qp)
 
     p = sub.add_parser("chow", help="existence certificates in the coefficient Chow ring")

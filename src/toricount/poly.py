@@ -30,10 +30,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Mapping, Sequence
 
 from .errors import (
     ArityMismatch,
+    CapExceeded,
     CoefficientNotInDomain,
     DegreeZeroGrading,
     FieldMismatch,
@@ -48,6 +50,10 @@ from .ff import FieldElement, FieldSpec
 from .rng import SplitMix64
 
 MultiDegree = tuple[int, ...]
+
+#: Most terms a parsed power may expand to. (x0+x1+x2)^40 (861 terms) parsed in
+#: 0.6 s on a 2-CPU Xeon over GF(101), ^60 (1891 terms) in 3.7 s.
+MAX_POWER_TERMS = 1000
 
 
 # --------------------------------------------------------------------------
@@ -66,10 +72,6 @@ class _Rationals:
 QQ = _Rationals()
 
 Domain = FieldSpec | _Rationals
-
-
-def domain_zero(domain: Domain):
-    return domain.zero() if isinstance(domain, FieldSpec) else Fraction(0)
 
 
 def domain_one(domain: Domain):
@@ -319,26 +321,8 @@ def classical_ax_exponent(nvars: int, total_degree: int) -> int:
 
 
 # --------------------------------------------------------------------------
-# evaluation / substitution / equivariance
+# substitution
 # --------------------------------------------------------------------------
-
-def evaluate(P: MultiPoly, point: Sequence):
-    """Exact evaluation; 0^0 = 1 (zero exponents never touch the point)."""
-    if len(point) != P.nvars:
-        raise ArityMismatch(f"point has {len(point)} coordinates, expected {P.nvars}")
-    if isinstance(P.domain, FieldSpec):
-        for x in point:
-            if not isinstance(x, FieldElement) or x.spec != P.domain:
-                raise FieldMismatch(f"point coordinate {x!r} is not in {P.domain.name}")
-    total = domain_zero(P.domain)
-    for exps, coeff in P.terms:
-        acc = coeff
-        for i, e in enumerate(exps):
-            if e:
-                acc = acc * point[i] ** e
-        total = total + acc
-    return total
-
 
 def substitute(P: MultiPoly, images: Sequence[MultiPoly]) -> MultiPoly:
     """Exact composed polynomial P(images[0], ..., images[nvars-1])."""
@@ -551,10 +535,19 @@ class _Parser:
 
     def factor(self) -> MultiPoly:
         base = self.atom()
-        if self._peek() == "^":
-            self.pos += 1
-            return base ** self._nat()
-        return base
+        if self._peek() != "^":
+            return base
+        self.pos += 1
+        e = self._nat()
+        if base.terms:
+            # base^e has at most C(t+e-1, e) terms, the multisets of e of its t terms, and
+            # at most C(n+e*d, n), the monomials of degree <= e*d in the n variables it uses
+            n = sum(map(any, zip(*(exps for exps, _ in base.terms))))
+            d = max(sum(exps) for exps, _ in base.terms)
+            bound = min(comb(len(base.terms) + e - 1, e), comb(n + e * d, n))
+            if bound > MAX_POWER_TERMS:
+                raise CapExceeded(f"a power may expand to {bound} terms, past {MAX_POWER_TERMS}")
+        return base ** e
 
     def atom(self) -> MultiPoly:
         ch = self._peek()

@@ -37,7 +37,7 @@ from toricount.errors import (
 )
 from toricount.fan import Fan, GradingData, Space, _column_hnf, validate
 from toricount.ff import FieldElement, FieldSpec, enumerate_field
-from toricount.poly import MultiPoly, evaluate, multidegree
+from toricount.poly import MultiPoly, multidegree
 from toricount.quintic import QuinticInstance
 
 
@@ -387,8 +387,8 @@ def scaling_character(
     for j, mj in enumerate(mu):
         piece = mj ** d[j]
         chi = piece if chi is None else chi * piece
-    lhs = evaluate(P, scaled)
-    rhs = chi * evaluate(P, point) if chi is not None else evaluate(P, point)
+    lhs = eval_poly(P, scaled)
+    rhs = chi * eval_poly(P, point) if chi is not None else eval_poly(P, point)
     return lhs, rhs
 
 

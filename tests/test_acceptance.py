@@ -278,7 +278,7 @@ def test_criterion_7_pullback_identity(capsys):
     for qi, (p, f) in enumerate([(2, 1), (3, 1), (5, 1)]):
         spec = make_field(p, f)
         for inst in random_batch(spec, 7000 + qi, 100):
-            ok = ok and pullback_identity_check(inst, trials=2, seed=qi)
+            ok = ok and pullback_identity_check(inst)
     elapsed = time.monotonic() - t0
     _report(capsys, "criterion 7: pullback identity (300 instances)", ok, elapsed, budget)
     assert ok
@@ -357,7 +357,7 @@ def test_criterion_8_gamma_positivity(capsys):
                 continue
             if gamma != groebner_gamma(s, c):
                 failures.append(((s, c), f"gamma {gamma} != Groebner oracle"))
-            if gamma == 0 or gamma.denominator != 1 or cert.gamma_integral is not True:
+            if gamma == 0 or type(gamma) is not int:
                 failures.append(((s, c), f"gamma {gamma} not a nonzero integer"))
             if cert.gamma_positive is not (gamma > 0):
                 failures.append(((s, c), f"gamma_positive disagrees with gamma {gamma}"))

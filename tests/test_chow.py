@@ -281,7 +281,7 @@ def test_frozen_gamma_values(s, c):
     expect = FROZEN_GAMMA[(s, c)]
     assert cert.gamma == expect
     assert cert.nonzero and cert.within_socle
-    assert cert.gamma_integral is True
+    assert type(cert.gamma) is int
     assert cert.gamma_positive is (expect > 0)
     assert cert.equations == 5 * s + c + 1
     assert cert.unknowns == 6 * s + 6
@@ -417,7 +417,7 @@ def test_dimension_count_validation():
 def test_certificate_dataclass_shape():
     keys = [
         "s", "c", "E", "default_E", "nonzero", "within_socle", "gamma",
-        "gamma_positive", "gamma_integral", "equations", "unknowns", "socle_dim",
+        "gamma_positive", "equations", "unknowns", "socle_dim",
     ]
     for s in range(13):
         for c in range(6):
@@ -427,10 +427,10 @@ def test_certificate_dataclass_shape():
             assert not hasattr(cert, "__dict__")
             assert cert.within_socle is (cert.E <= 6 * s + 4)
             if cert.gamma is None:
-                assert cert.gamma_positive is None and cert.gamma_integral is None
+                assert cert.gamma_positive is None
             else:
                 assert cert.gamma_positive is (cert.gamma > 0)
-                assert cert.gamma_integral is (cert.gamma.denominator == 1)
+                assert type(cert.gamma) is int
             assert cert.equations == cert.E == 5 * s + c + 1
             assert cert.unknowns == 6 * s + 6
             assert list(cert.to_dict()) == keys

@@ -5,7 +5,8 @@ import time
 
 import pytest
 
-from toricount import count as count_mod
+from toricount import chow as chow_mod, count as count_mod
+from toricount.chow import MAX_SWEEP_COST
 from toricount.cli import EXIT_INPUT, EXIT_PASS, EXIT_VIOLATION, main
 from toricount.count import CongruenceReport
 from toricount.quintic import QuinticInstance, random_instance
@@ -417,7 +418,7 @@ def test_options_a_source_never_reads_are_usage_errors(capsys, tmp_path, case):
     assert f"error: {option} is not read with {source}" in err
 
 
-# a count of checks or trials below the least that means anything is a usage error,
+# a count of checks below the least that means anything is a usage error,
 # not an empty run that passes
 @pytest.mark.parametrize(
     "argv, message",
@@ -428,10 +429,8 @@ def test_options_a_source_never_reads_are_usage_errors(capsys, tmp_path, case):
           "--batch", "-1", "--seed", "1"], "--batch must be >= 1, got -1"),
         (["verify", "ax", "--field", "GF(4)", "--batch", "0", "--seed", "1"],
          "--batch must be >= 1, got 0"),
-        (["quintic", "show", "--field", "GF(3)", "--seed", "1", "--trials", "-3"],
-         "trials must be >= 0, got -3"),
     ],
-    ids=["esnault", "cw", "ax", "show"],
+    ids=["esnault", "cw", "ax"],
 )
 def test_counts_below_their_least_are_usage_errors(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -500,6 +499,34 @@ def test_chow_invalid_params(capsys):
         code, out, err = run(capsys, "chow", *argv)
         assert time.monotonic() - t0 < 1.0, argv
         assert code == EXIT_INPUT and out == "" and "largest supported s" in err, argv
+
+
+def test_sweep_cost_is_checked_before_the_first_certificate(capsys, monkeypatch):
+    # each certificate that divides (5s+c+1 <= 6s+4) is charged (s+1)^3 against one cap
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "chow", "sweep", "--c", "0", "--s-max", "200")
+    assert time.monotonic() - t0 < 1.0
+    assert code == EXIT_INPUT and out == ""
+    assert f"error: a sweep to s_max = 200 costs 412130601, more than {MAX_SWEEP_COST}" in err
+    certified = []
+    real = chow_mod.tsen_certificate
+    monkeypatch.setattr(chow_mod, "tsen_certificate", lambda *a: certified.append(a) or real(*a))
+    # (63*64/2)^2 = 4064256 is the first sum of cubes past the cap
+    for c, s_max in ((0, 62), (3, 62), (100, 120)):
+        assert run(capsys, "chow", "sweep", "--c", str(c), "--s-max", str(s_max))[0] == EXIT_INPUT
+    assert certified == []
+    # no certificate divides below s = c - 3, so those are free
+    code, payload, _ = run_json(capsys, "chow", "sweep", "--c", "1000", "--s-max", "200")
+    assert code == EXIT_PASS and payload["min_s"] is None and len(certified) == 201
+
+
+def test_parsed_power_past_its_cap_is_refused_before_it_expands(capsys):
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "count", "--field", "GF(5)", "--fan", "projective(2)",
+                         "--poly", "(x0+x1+x2)^100")
+    assert time.monotonic() - t0 < 1.0
+    assert code == EXIT_INPUT and out == ""
+    assert "error: a power may expand to 5151 terms" in err
 
 
 def test_chow_certify_large_s_and_exponent_finish(capsys):

@@ -5,9 +5,9 @@ from hypothesis import given, strategies as st
 
 from toricount.errors import (
     ArityMismatch,
+    CapExceeded,
     CoefficientNotInDomain,
     DegreeZeroGrading,
-    FieldMismatch,
     NotHomogeneous,
     PolyParseError,
     UnknownVariable,
@@ -16,12 +16,12 @@ from toricount.errors import (
 from toricount.fan import builtin
 from toricount.ff import make_field
 from toricount.poly import (
+    MAX_POWER_TERMS,
     QQ,
     MultiPoly,
     ax_exponent,
     classical_ax_exponent,
     degree_bounds,
-    evaluate,
     monomials_of_multidegree,
     multidegree,
     parse,
@@ -33,7 +33,7 @@ from toricount.poly import (
 )
 from toricount.rng import SplitMix64
 
-from oracles import scaling_character
+from oracles import eval_poly, scaling_character
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -152,18 +152,18 @@ def test_monomials_of_multidegree():
 # ---------------------------------------------------------------------------
 
 def test_evaluate_basics():
+    # evaluation at a point is substitution of constants
     P = parse("x0*x1 + t", 2, F4)
     t = F4.gen()
-    assert evaluate(P, [t, t]) == t * t + t
-    with pytest.raises(ArityMismatch):
-        evaluate(P, [t])
-    with pytest.raises(FieldMismatch):
-        evaluate(P, [F2.one(), F2.one()])
+    assert eval_poly(P, [t, t]) == t * t + t
+    point = [MultiPoly.constant(1, F4, t)] * 2
+    assert substitute(P, point) == MultiPoly.constant(1, F4, t * t + t)
 
 
 def test_zero_power_zero_is_one():
     P = MultiPoly.monomial(1, F3, (0,), F3.one())
-    assert evaluate(P, [F3.zero()]) == F3.one()
+    assert eval_poly(P, [F3.zero()]) == F3.one()
+    assert substitute(P, [MultiPoly.zero(1, F3)]) == MultiPoly.constant(1, F3, 1)
 
 
 def test_substitute_respects_evaluation():
@@ -174,8 +174,8 @@ def test_substitute_respects_evaluation():
     for a in range(5):
         for b in range(5):
             pt = [F5.from_index(a), F5.from_index(b)]
-            inner = [evaluate(img, pt) for img in imgs]
-            assert evaluate(comp, pt) == evaluate(P, inner)
+            inner = [eval_poly(img, pt) for img in imgs]
+            assert eval_poly(comp, pt) == eval_poly(P, inner)
 
 
 def test_scaling_character_equality():
@@ -247,6 +247,21 @@ def test_parse_errors_with_positions():
     with pytest.raises(PolyParseError):
         parse("x0 ++ x1", 2, F2)
     assert parse("1/2*x0", 1, QQ).as_dict() == {(1,): Fraction(1, 2)}
+
+
+def test_parsed_power_is_bounded_before_it_expands(monkeypatch):
+    # over QQ no multinomial coefficient vanishes, so base^e has every term the bound allows
+    assert len(parse("(x0+x1+x2)^40", 3, QQ).terms) == 861 <= MAX_POWER_TERMS
+    # 6 terms to the 10th: C(15, 10) = 3003 multisets, but C(2+20, 2) = 231 monomials
+    assert len(parse("(1 + x0 + x1 + x0^2 + x0*x1 + x1^2)^10", 2, QQ).terms) == 231
+    assert parse("(x0 - x0)^100000", 1, QQ).is_zero and parse("0^0", 1, QQ) == parse("1", 1, QQ)
+    expanded = []
+    monkeypatch.setattr(MultiPoly, "__pow__", lambda *a: expanded.append(a))
+    for text, bound in (("(x0+x1+x2)^60", 1891), ("(x0+x1+x2)^100", 5151), ("(x0+1)^1000", 1001),
+                        ("x0*(x1 + x2 + 1)^999", 500500)):
+        with pytest.raises(CapExceeded, match=f"expand to {bound} terms, past {MAX_POWER_TERMS}"):
+            parse(text, 3, QQ)
+    assert expanded == []
 
 
 def test_parse_parenthesized_and_unary_minus():
