@@ -176,8 +176,7 @@ def cmd_fan(args: argparse.Namespace) -> int:
         "rho": G.rho,
         "rank": G.r,
         "weights": [list(row) for row in G.weights],
-        "torsion": list(G.torsion),
-        "exceptional_strata": [sorted(s) for s in space.exceptional.strata],
+        "exceptional_strata": [sorted(s) for s in space.strata],
     }
     if space.fan is not None:
         payload["dim"] = space.fan.dim

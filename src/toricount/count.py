@@ -4,12 +4,14 @@ Counts are exact Python integers. One numpy kernel evaluates a system of
 polynomials on a box of F_q^m in odometer order (x0 most significant, field
 elements in enumeration order) and yields the mask of their common zeros block
 by block, the same way for prime fields, extension fields and q > 256: terms
-are sums of discrete logs, and their values are added as F_p digits for odd p
-and XORed as element indices in characteristic 2. Each polynomial is written
-as x^g*F with x^g its largest monomial factor, is zero where a variable of x^g
-is, and has F evaluated only on the axes F uses. Results are independent of
-the block partitioning. numpy is imported by the functions that use it, so
-the package loads it with the first count and not before.
+are sums of discrete logs, each exponent reduced mod q-1 before it meets int64,
+and their values are added as F_p digits for odd p and XORed as element indices
+in characteristic 2. Each polynomial is written as x^g*F with x^g its largest
+monomial factor, is zero where a variable of x^g is, and has F evaluated only
+on the axes F uses. Results are independent of the block partitioning. numpy
+is imported by the functions that use it, so the package loads it with the
+first count and not before. Gradings are free and effective by construction
+(`fan.GradingData`), so the toric counts do not check them.
 
 A small planner runs in front of the kernel. It rewrites #Z(P) over F_q^n as
 an integer combination of common-zero counts #Z(S) of systems S on smaller
@@ -71,9 +73,7 @@ from .errors import (
     FieldMismatch,
     HypothesisNotMet,
     InvalidParams,
-    NonEffectiveGrading,
     NonIntegralQuotient,
-    TorsionClassGroup,
 )
 from .fan import GradingData, Space, _column_hnf, builtin
 from .ff import FieldSpec, log_tables
@@ -251,8 +251,9 @@ def _zero_masks(
         shape = tuple(len(a) for a in block)
         logs = {}
         for i, e in powers:
-            a = block[i]
-            logs[i, e] = _axis_view(np.where(a == 0, sentinel, e * log[a] % (q - 1)), i, rho)
+            a = block[i]  # x^e = g^((e mod q-1) * log x) for x != 0: e enters int64 reduced
+            power = np.where(a == 0, sentinel, e % (q - 1) * log[a] % (q - 1))
+            logs[i, e] = _axis_view(power, i, rho)
         mask = np.ones(shape, dtype=bool)
         for zero_axes, used, terms in factored:
             acc = np.zeros([m if i in used else 1 for i, m in enumerate(shape)], dtype=np.int64)
@@ -492,7 +493,7 @@ def _strata_roots(P: MultiPoly, space: Space) -> list[tuple[int, MultiPoly]]:
     1_A * 1_(V_S), with 1_(V_U) * 1_(V_S) = 1_(V_(U | S)); equal unions share one c_U.
     """
     unions: dict[frozenset, int] = {}
-    for stratum in space.exceptional.strata:
+    for stratum in space.strata:
         S = frozenset(stratum)
         step = {S: 1}
         for U, c in unions.items():
@@ -528,20 +529,13 @@ def _check_space_poly(P: MultiPoly, space: Space, spec: FieldSpec) -> None:
 # toric point counts (quotient formula and direct orbit enumeration)
 # --------------------------------------------------------------------------
 
-def _require_free_effective(G: GradingData) -> None:
-    if G.torsion:
-        raise TorsionClassGroup(f"grading has invariant factors {G.torsion}")
-    if not G.is_effective:
-        raise NonEffectiveGrading("grading has negative weights")
-
-
 def _toric_input(P: MultiPoly, space: Space, spec: FieldSpec) -> MultiDegree | None:
     """Check the input of a toric count; the multidegree of P, or None for P = 0.
 
-    The grading must be free and effective, P homogeneous (orbits must be well
-    defined), over `spec` and in one variable per ray, checked in that order.
+    P must be homogeneous (orbits must be well defined), over `spec` and in one
+    variable per ray, checked in that order. The grading is free and effective
+    by construction (`fan.GradingData`, `fan.grading_from_fan`).
     """
-    _require_free_effective(space.grading)
     degree = None if P.is_zero else multidegree(P, space.grading)
     _check_space_poly(P, space, spec)
     return degree
@@ -599,8 +593,10 @@ def toric_count_orbits(
     points = q ** rho
     if points > min(work_cap, _ORBIT_POINT_CAP):
         raise CapExceeded(f"{points} points exceed the orbit-enumeration cap")
-    mus = np.array(list(itertools.product(range(q - 1), repeat=G.r)))
-    shifts = mus @ np.array(G.weights).T % (q - 1)
+    mus = np.array(list(itertools.product(range(q - 1), repeat=G.r)), dtype=np.int64)
+    # the weights enter int64 reduced mod q-1, so no product overflows
+    weights = np.array([[w % (q - 1) for w in row] for row in G.weights], dtype=np.int64)
+    shifts = mus @ weights.T % (q - 1)
     # key numbers the shift tuples on J; j joins J when the tuples on J + [j] take every value
     J: list[int] = []
     key = np.zeros(len(shifts), dtype=np.int64)
@@ -618,7 +614,7 @@ def toric_count_orbits(
     seen = np.zeros(points, dtype=bool)
     charged = 0
     for block, mask in _zero_masks(P, spec, axes):
-        where = np.nonzero(mask & ~_on_strata(block, space.exceptional.strata))
+        where = np.nonzero(mask & ~_on_strata(block, space.strata))
         n = len(where[0])
         charged += len(shifts) * n
         if charged > work_cap:
@@ -663,7 +659,6 @@ def check_cw(
 ) -> CongruenceReport:
     """N ≡ 0 (mod p) whenever some degree bound d_j is below the weight sum a_j."""
     start = time.monotonic()
-    _require_free_effective(G)
     d = degree_bounds(P, G)
     a = total_generator_degree(G)
     if not any(d[j] < a[j] for j in range(G.r)):
@@ -682,7 +677,6 @@ def check_ax(
 ) -> CongruenceReport:
     """q^mu | N with mu computed from the grading and the degree bounds."""
     start = time.monotonic()
-    _require_free_effective(G)
     d = degree_bounds(P, G)
     mu = ax_exponent(G, d)
     n = affine_count(P, spec, work_cap=work_cap, stats=stats)

@@ -45,11 +45,11 @@ class NonSimplicialFan(ToricountError):
 
 
 class TorsionClassGroup(ToricountError):
-    """The grading group has invariant factors > 1 but a free grading was required."""
+    """The grading group has invariant factors > 1; the counts need a free grading."""
 
 
 class NonEffectiveGrading(ToricountError):
-    """No unimodular column change makes every weight nonnegative."""
+    """A weight is negative, or no unimodular column change makes every weight nonnegative."""
 
 
 # --- polynomials -----------------------------------------------------------
@@ -97,7 +97,7 @@ class HypothesisNotMet(ToricountError):
 
 
 class NonIntegralQuotient(ToricountError):
-    """An exact-divisibility step failed; indicates torsion, a non-free action, or caller error."""
+    """An exact-divisibility step failed; indicates a non-free torus action or a caller error."""
 
 
 class IdentityViolated(ToricountError):

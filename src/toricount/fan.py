@@ -6,15 +6,15 @@ coordinate ring: the grading group is the cokernel of x -> (<n_i, x>)_i. One
 integer Hermite normal form N^T U = [0 | H], U unimodular, gives it: the first
 rho - rank columns of U are a basis of the integer kernel of N^T (the relations
 among the rays), row i of that basis is the weight row of the i-th coordinate,
-and the invariant factors of H are the torsion. Primitive collections
+and an invariant factor of H above 1 (torsion) is refused. Primitive collections
 (minimal ray sets lying in no cone) describe the exceptional locus removed
 before the torus quotient.
 
 Weight matrices are only canonical up to unimodular column operations. We
 normalize deterministically: Hermite normal form of the column lattice, then
 a bounded search for the entrywise-nonnegative representative with smallest
-entry sum, columns sorted in descending lexicographic order. Effective
-gradings (all weights >= 0) are required by the counting theorems.
+entry sum, columns sorted in descending lexicographic order. The counting
+theorems need free, effective gradings: GradingData refuses a negative weight.
 """
 
 from __future__ import annotations
@@ -65,18 +65,19 @@ class Fan:
 
 @dataclass(frozen=True)
 class GradingData:
-    """Multigrading of the coordinate ring: one weight row per variable.
+    """Free, effective multigrading of the coordinate ring: one weight row per variable.
 
-    Only the weights and the torsion are stored: rho, the number of variables, is
-    the row count and r, the rank of the free part, the row length (0 without rows).
+    Only the weights are stored, none negative: rho, the number of variables, is
+    the row count and r, the rank of the grading group, the row length (0 without rows).
     """
 
     weights: tuple[tuple[int, ...], ...]
-    torsion: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         if len({len(row) for row in self.weights}) > 1:
             raise InvalidParams(f"weight rows of unequal length: {self.weights}")
+        if any(w < 0 for row in self.weights for w in row):
+            raise NonEffectiveGrading(f"grading has negative weights: {self.weights}")
 
     @property
     def rho(self) -> int:
@@ -86,25 +87,15 @@ class GradingData:
     def r(self) -> int:
         return len(self.weights[0]) if self.weights else 0
 
-    @property
-    def is_effective(self) -> bool:
-        return all(w >= 0 for row in self.weights for w in row)
-
-
-@dataclass(frozen=True)
-class ExceptionalSet:
-    """Union of coordinate subspaces {x_i = 0 for i in S}, one S per stratum."""
-
-    strata: tuple[tuple[int, ...], ...]
-
 
 @dataclass(frozen=True)
 class Space:
-    """A quotient space presentation: grading + exceptional set (+ fan when available)."""
+    """A quotient space: a grading, the fan when known, and the strata S of the exceptional
+    set, which is the union of the coordinate subspaces {x_i = 0 for i in S}."""
 
     name: str
     grading: GradingData
-    exceptional: ExceptionalSet
+    strata: tuple[tuple[int, ...], ...]
     fan: Fan | None = None
 
 
@@ -153,7 +144,7 @@ def make_fan(dim: int, rays: Sequence[Sequence[int]], max_cones: Sequence[Sequen
 
 
 # --------------------------------------------------------------------------
-# primitive collections and the exceptional set
+# primitive collections: the strata of the exceptional set
 # --------------------------------------------------------------------------
 
 def primitive_collections(fan: Fan) -> tuple[tuple[int, ...], ...]:
@@ -176,10 +167,6 @@ def primitive_collections(fan: Fan) -> tuple[tuple[int, ...], ...]:
             if all(in_some_cone(s - {i}) for i in s):
                 found.append(s)
     return tuple(sorted(tuple(sorted(s)) for s in found))
-
-
-def exceptional_set(fan: Fan) -> ExceptionalSet:
-    return ExceptionalSet(strata=primitive_collections(fan))
 
 
 # --------------------------------------------------------------------------
@@ -247,12 +234,11 @@ def _invariant_factors(H: list[list[int]]) -> list[int]:
 # --------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def grading_from_fan(fan: Fan, require_free: bool = True) -> GradingData:
+def grading_from_fan(fan: Fan) -> GradingData:
     """Cokernel of x -> (<n_i, x>)_i as a weight matrix, canonically normalized.
 
-    The free part of the cokernel has rank r = rho - rank(rays); row i of the
-    returned matrix is the class of the i-th coordinate. Invariant factors > 1
-    are reported in `torsion` (or raised when `require_free`).
+    The cokernel has rank r = rho - rank(rays); row i of the returned matrix is
+    the class of the i-th coordinate. Invariant factors > 1 raise TorsionClassGroup.
     """
     validate(fan)
     rho = fan.rho
@@ -264,17 +250,17 @@ def grading_from_fan(fan: Fan, require_free: bool = True) -> GradingData:
     assert product == [[0] * (rho - rank) + h for h in H]
     assert _is_unimodular(U)
     torsion = tuple(x for x in _invariant_factors(H) if x != 1)
-    if torsion and require_free:
+    if torsion:
         raise TorsionClassGroup(
             f"grading group has invariant factors {torsion}; free grading required"
         )
     r = rho - rank
     if r == 0:
-        return GradingData(weights=((),) * rho, torsion=torsion)
+        return GradingData(weights=((),) * rho)
     # the first r columns of U are a basis of ker N^T, the relations among the
-    # rays; row i holds the free-part coordinates of [e_i]
+    # rays; row i holds the coordinates of [e_i]
     W = [row[:r] for row in U]
-    return GradingData(weights=_normalize_weights(W), torsion=torsion)
+    return GradingData(weights=_normalize_weights(W))
 
 
 def _charge(work: int) -> int:
@@ -334,8 +320,8 @@ def unimodular_column_equivalent(A: Sequence[Sequence[int]], B: Sequence[Sequenc
 
 def projective_fan(d: int) -> Fan:
     """P^d: rays n0 = -(e1+...+ed), ni = ei; maximal cones = all d-subsets."""
-    if d < 1:
-        raise InvalidParams(f"projective dimension must be >= 1, got {d}")
+    if not 1 <= d < MAX_RAYS:  # checked before the d+1 rays of length d are built
+        raise InvalidParams(f"projective dimension must be in 1..{MAX_RAYS - 1}, got {d}")
     rays = [tuple(-1 for _ in range(d))] + [
         tuple(1 if j == i else 0 for j in range(d)) for i in range(d)
     ]
@@ -385,7 +371,7 @@ def weighted_space(*weights: int) -> Space:
     return Space(
         name=f"weighted({','.join(str(a) for a in weights)})",
         grading=GradingData(weights=tuple((int(a),) for a in weights)),
-        exceptional=ExceptionalSet(strata=(tuple(range(len(weights))),)),
+        strata=(tuple(range(len(weights))),),
         fan=None,
     )
 
@@ -394,7 +380,7 @@ def space_from_fan(fan: Fan, name: str = "") -> Space:
     return Space(
         name=name or f"fan(dim={fan.dim},rho={fan.rho})",
         grading=grading_from_fan(fan),
-        exceptional=exceptional_set(fan),
+        strata=primitive_collections(fan),
         fan=fan,
     )
 
@@ -408,7 +394,10 @@ def builtin(name: str) -> Space:
     if not m:
         raise InvalidParams(f"unrecognized space name: {name!r}")
     head, args_str = m.group(1), m.group(2)
-    args = [int(x) for x in args_str.split(",")] if args_str else []
+    try:
+        args = [int(x) for x in args_str.split(",")] if args_str else []
+    except ValueError as exc:  # an empty, signless or overlong parameter
+        raise InvalidParams(f"malformed parameters in space name {name[:80]!r}") from exc
     if head == "projective":
         if len(args) != 1:
             raise InvalidParams("projective(d) takes exactly one parameter")

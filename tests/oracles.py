@@ -107,7 +107,7 @@ def naive_exceptional_count(P: MultiPoly, space: Space, spec: FieldSpec) -> int:
     elements = enumerate_field(spec)
     rho = space.grading.rho
     points = set()
-    for stratum in space.exceptional.strata:
+    for stratum in space.strata:
         free = [i for i in range(rho) if i not in stratum]
         for values in itertools.product(range(spec.q), repeat=len(free)):
             point = [0] * rho
@@ -145,7 +145,7 @@ def naive_toric_orbits(P: MultiPoly, space: Space, spec: FieldSpec) -> int:
         return tuple(out)
 
     def exceptional(point):
-        return any(all(point[i].is_zero for i in stratum) for stratum in space.exceptional.strata)
+        return any(all(point[i].is_zero for i in stratum) for stratum in space.strata)
 
     orbits: set[frozenset] = set()
     for point in itertools.product(elements, repeat=G.rho):
@@ -324,7 +324,7 @@ def dimension_count(s: int, c: int, degree_vector: tuple[int, ...] | None = None
 
 def union_subspace_count(space: Space, q: int) -> int:
     """#Z(F_q) of the exceptional set: inclusion-exclusion over its coordinate subspaces."""
-    strata, rho = space.exceptional.strata, space.grading.rho
+    strata, rho = space.strata, space.grading.rho
     total = 0
     for k in range(1, len(strata) + 1):
         for combo in itertools.combinations(strata, k):
@@ -396,12 +396,11 @@ def scaling_character(
 # own Hermite normal form: sympy's Smith decomposition of the ray matrix, then
 # sympy's HNF and determinants in the nonnegative-representative search.
 
-def sympy_grading(fan: Fan, require_free: bool = True) -> GradingData:
+def sympy_grading(fan: Fan) -> GradingData:
     """Cokernel of x -> (<n_i, x>)_i as a weight matrix, canonically normalized.
 
-    The free part of the cokernel has rank r = rho - rank(rays); row i of the
-    returned matrix is the class of the i-th coordinate. Invariant factors > 1
-    are reported in `torsion` (or raised when `require_free`).
+    The cokernel has rank r = rho - rank(rays); row i of the returned matrix is
+    the class of the i-th coordinate. Invariant factors > 1 raise TorsionClassGroup.
     """
     validate(fan)
     N = Matrix([list(ray) for ray in fan.rays])  # rho x d
@@ -412,18 +411,18 @@ def sympy_grading(fan: Fan, require_free: bool = True) -> GradingData:
     diag = [D[i, i] for i in range(min(D.shape))]
     rank = sum(1 for d in diag if d != 0)
     torsion = tuple(int(abs(d)) for d in diag if d != 0 and abs(d) != 1)
-    if torsion and require_free:
+    if torsion:
         raise TorsionClassGroup(
             f"grading group has invariant factors {torsion}; free grading required"
         )
     rho = fan.rho
     r = rho - rank
     if r == 0:
-        return GradingData(weights=tuple(() for _ in range(rho)), torsion=torsion)
-    W = U[rank:, :].T  # rho x r; row i = free-part coordinates of [e_i]
+        return GradingData(weights=tuple(() for _ in range(rho)))
+    W = U[rank:, :].T  # rho x r; row i = coordinates of [e_i]
     W = _sympy_normalize_weights(W)
     weights = tuple(tuple(int(W[i, j]) for j in range(r)) for i in range(rho))
-    return GradingData(weights=weights, torsion=torsion)
+    return GradingData(weights=weights)
 
 
 def _sympy_normalize_weights(W: Matrix) -> Matrix:

@@ -259,7 +259,7 @@ def test_criterion_6_structural_fidelity(capsys):
     # weighted P(1,1,1,1,1,2): grading-first construction
     wsp = builtin("weighted(1,1,1,1,1,2)")
     ok = ok and wsp.grading.weights == ((1,), (1,), (1,), (1,), (1,), (2,))
-    ok = ok and wsp.exceptional.strata == ((0, 1, 2, 3, 4, 5),)
+    ok = ok and wsp.strata == ((0, 1, 2, 3, 4, 5),)
 
     elapsed = time.monotonic() - t0
     _report(capsys, "criterion 6: structural fidelity", ok, elapsed, budget)

@@ -115,6 +115,24 @@ def test_fan_unknown_builtin(capsys):
     assert code == EXIT_INPUT
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["weighted(1,,2)", "weighted(1,-)", "weighted(1 2)", "projective(-)", f"weighted(1,{'7' * 5000})"],
+    ids=["empty", "sign", "space", "projective-sign", "5000-digits"],
+)
+def test_fan_malformed_parameters(capsys, name):
+    code, out, err = run(capsys, "fan", "info", "--fan", name)
+    assert code == EXIT_INPUT and out == ""
+    assert "error: malformed parameters in space name" in err
+
+
+def test_count_overlong_number_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "count", "--field", "GF(7)", "--fan", "weighted(1,1)",
+                         "--poly", "x0^" + "9" * 5000 + " + x1")
+    assert code == EXIT_INPUT and out == ""
+    assert "number has too many digits (at position 3)" in err
+
+
 # ---------------------------------------------------------------------------
 # count
 # ---------------------------------------------------------------------------
@@ -527,6 +545,25 @@ def test_parsed_power_past_its_cap_is_refused_before_it_expands(capsys):
     assert time.monotonic() - t0 < 1.0
     assert code == EXIT_INPUT and out == ""
     assert "error: a power may expand to 5151 terms" in err
+
+
+def test_parsed_product_past_its_cap_is_refused_before_it_expands(capsys):
+    # the product of two 861-term powers once expanded for about 10 s before counting
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "count", "--field", "GF(101)", "--fan", "projective(2)",
+                         "--poly", "(x0+x1+x2)^40*(x0+x1+x2)^40")
+    assert time.monotonic() - t0 < 4.0
+    assert code == EXIT_INPUT and out == ""
+    assert "error: a product may expand to 91881 terms" in err
+
+
+def test_exponents_past_int64_count_exactly(capsys):
+    # 2^62+1 = 5 (mod 6) and 10^20-1 = 3 (mod 4): the kernel sees x^5 and x^3
+    for field, e, n_affine, n_toric in (("GF(7)", 2**62 + 1, 49, 8), ("GF(5)", 10**20 - 1, 25, 6)):
+        code, payload, _ = run_json(capsys, "count", "--field", field, "--fan", "weighted(1,1,1)",
+                                    "--poly", f"x0^{e} + x1^{e}")
+        assert code == EXIT_PASS
+        assert (payload["n_affine"], payload["n_toric"]) == (n_affine, n_toric)
 
 
 def test_chow_certify_large_s_and_exponent_finish(capsys):

@@ -35,14 +35,13 @@ from toricount.errors import (
     TorsionClassGroup,
 )
 from toricount.fan import (
-    ExceptionalSet,
     GradingData,
     Space,
     builtin,
     make_fan,
     space_from_fan,
 )
-from toricount.ff import make_field
+from toricount.ff import enumerate_field, make_field
 from toricount.poly import (
     MultiPoly,
     degree_bounds,
@@ -231,9 +230,57 @@ def test_zero_masks_evaluate_the_cofactor_on_its_own_axes(monkeypatch):
     assert shapes and set(shapes) == {(1, q, q, q)}
 
 
+def power_eval(P, point, powers):
+    """P at `point`, each x^e by the field's square-and-multiply, so no exponent is reduced;
+    `powers` caches x^e by (index of x, e)."""
+    total = P.domain.zero()
+    for exps, c in P.terms:
+        for x, e in zip(point, exps):
+            key = (x.to_index(), e)
+            if key not in powers:
+                powers[key] = x ** e
+            c = c * powers[key]
+        total = total + c
+    return total
+
+
+@pytest.mark.parametrize(
+    "spec", [make_field(7), F9, make_field(2, 3)], ids=["GF(7)", "GF(3^2)", "GF(2^3)"]
+)
+def test_huge_exponents_enter_the_kernel_reduced(spec):
+    # e*log x in int64 wraps for e near 2^62 and fails past 2^63; the kernel uses e mod q-1
+    rng = SplitMix64(spec.q + 1)
+    huge = (2**62 + 1, 2**63 + 5, 10**20 - 1, 3**90)
+    elements, powers = enumerate_field(spec), {}
+    for _ in range(8):
+        nvars = 1 + rng.next_below(3)
+        system = []
+        for _ in range(1 + rng.next_below(2)):
+            mapping = {}
+            for _ in range(1 + rng.next_below(3)):
+                exps = tuple(
+                    (0, 1 + rng.next_below(3), huge[rng.next_below(4)])[rng.next_below(3)]
+                    for _ in range(nvars)
+                )
+                mapping[exps] = spec.from_index(1 + rng.next_below(spec.q - 1))
+            system.append(MultiPoly.from_dict(nvars, spec, mapping))
+        points = list(itertools.product(elements, repeat=nvars))
+        expected = [all(power_eval(P, x, powers).is_zero for P in system) for x in points]
+        axes = [np.arange(spec.q)] * nvars
+        mask = np.concatenate([m.ravel() for _, m in _zero_masks(system, spec, axes)])
+        assert mask.tolist() == expected, system
+        zeros = sum(power_eval(system[0], x, powers).is_zero for x in points)
+        assert affine_count(system[0], spec) == zeros, system[0]
+
+
 def test_frozen_counts():
     assert affine_count(parse("x0*x1 + x2*x3", 4, F2), F2) == 10
     assert affine_count(parse("x0^2 + x1^2", 2, F3), F3) == 1
+    # 2^62+1 = 5 (mod 6): x0^5 + x1^5 has 7 zeros over GF(7); 10^20-1 = 3 (mod 4) over GF(5)
+    E = 2**62 + 1
+    assert affine_count(parse(f"x0^{E} + x1^{E}", 2, make_field(7)), make_field(7)) == 7
+    E = 10**20 - 1
+    assert affine_count(parse(f"x0^{E} + x1^{E}", 2, F5), F5) == 5
 
 
 def test_degenerate_inputs():
@@ -514,7 +561,7 @@ def seeded_poly_off_strata(space, spec, rng, nterms=3):
     """Random terms, plus one term off each stratum, so that P restricts to nonzero on each."""
     rho = space.grading.rho
     supports = [range(rho)] * nterms + [
-        [i for i in range(rho) if i not in stratum] for stratum in space.exceptional.strata
+        [i for i in range(rho) if i not in stratum] for stratum in space.strata
     ]
     mapping = {}
     for support in supports:
@@ -538,12 +585,12 @@ P1_CUBED = space_from_fan(
 NESTED = Space(
     name="nested-strata",
     grading=GradingData(weights=((1,),) * 4),
-    exceptional=ExceptionalSet(strata=((0,), (0, 1), (2, 3), (0,), (1, 2, 3))),
+    strata=((0,), (0, 1), (2, 3), (0,), (1, 2, 3)),
 )
 
 
 def test_strata_roots_merge_unions():
-    assert P1_CUBED.exceptional.strata == ((0, 1), (2, 3), (4, 5))
+    assert P1_CUBED.strata == ((0, 1), (2, 3), (4, 5))
     roots = count._strata_roots(MultiPoly.zero(6, F2), P1_CUBED)
     assert sorted((P.nvars, c) for c, P in roots) == [(0, 1)] + [(2, -1)] * 3 + [(4, 1)] * 3
     # V_(0) + V_(2,3) - V_(0,2,3)
@@ -576,7 +623,7 @@ def test_exceptional_count_plans_the_strata():
     space = Space(
         name="two-strata",
         grading=GradingData(weights=((1,),) * 3),
-        exceptional=ExceptionalSet(strata=((0,), (1, 2))),
+        strata=((0,), (1, 2)),
     )
     P = parse("x1*x2 + x2^2 - x1 + 1 + x0*x1^2", 3, spec)
     rules = Counter()
@@ -655,7 +702,7 @@ def test_weighted_grading_stabilizers():
 EVEN_WEIGHTS = Space(
     name="weights(2,2)",
     grading=GradingData(weights=((2,), (2,))),
-    exceptional=ExceptionalSet(strata=((0, 1),)),
+    strata=((0, 1),),
 )
 
 
@@ -701,26 +748,30 @@ def test_orbit_count_evaluates_a_box_that_meets_every_orbit(monkeypatch, sp, len
     assert evaluated == [lengths]
 
 
+def test_orbit_count_reduces_weights_before_int64():
+    # 2^62+3 = 1 (mod 6): in int64 the shifts mu*w wrapped and split orbits, 9 and not 8
+    space = builtin(f"weighted(1,{2**62 + 3})")
+    zero = MultiPoly.zero(2, make_field(7))
+    assert toric_count_orbits(zero, space, make_field(7)) == 8
+    assert toric_count_quotient(zero, space, make_field(7)) == 8
+
+
+def test_orbit_count_without_a_torus():
+    # one cone spanning the lattice: rank 0, so no torus acts and the orbits are points
+    space = space_from_fan(make_fan(2, [(1, 0), (0, 1)], [(0, 1)]))
+    assert space.grading.r == 0 and space.strata == ()
+    P = parse("x0", 2, F5)
+    assert toric_count_orbits(P, space, F5) == toric_count_quotient(P, space, F5) == 5
+
+
 def test_quotient_requires_free_grading():
     # torsion Z/2 in the class group: quotient and orbit counts must refuse
     fan = make_fan(2, [(1, 1), (1, -1)], [(0,), (1,)])
     with pytest.raises(TorsionClassGroup):
         space_from_fan(fan, name="torsion")
-    torsion_space = Space(
-        name="synthetic-torsion",
-        grading=GradingData(weights=((1,), (1,)), torsion=(2,)),
-        exceptional=ExceptionalSet(strata=((0, 1),)),
-    )
-    with pytest.raises(TorsionClassGroup):
-        toric_count_quotient(MultiPoly.zero(2, F3), torsion_space, F3)
-    # a weight column with mixed signs is not an effective grading
-    mixed_space = Space(
-        name="synthetic-mixed",
-        grading=GradingData(weights=((1,), (-1,)), torsion=()),
-        exceptional=ExceptionalSet(strata=((0, 1),)),
-    )
+    # a weight column with mixed signs is not an effective grading: no Space can hold it
     with pytest.raises(NonEffectiveGrading):
-        toric_count_quotient(MultiPoly.zero(2, F3), mixed_space, F3)
+        GradingData(weights=((1,), (-1,)))
 
 
 def test_non_integral_quotient_guard():
@@ -728,8 +779,8 @@ def test_non_integral_quotient_guard():
     # so (N_affine - N_exceptional) is not divisible by q - 1.
     space = Space(
         name="affine-line",
-        grading=GradingData(weights=((1,),), torsion=()),
-        exceptional=ExceptionalSet(strata=()),
+        grading=GradingData(weights=((1,),)),
+        strata=(),
     )
     with pytest.raises(NonIntegralQuotient):
         toric_count_quotient(MultiPoly.zero(1, F3), space, F3)

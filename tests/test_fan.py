@@ -24,7 +24,6 @@ from toricount.fan import (
     _column_hnf,
     _invariant_factors,
     builtin,
-    exceptional_set,
     grading_from_fan,
     make_fan,
     parse_fan_text,
@@ -54,7 +53,6 @@ def test_projective_fan_structure():
         assert primitive_collections(fan) == (tuple(range(d + 1)),)
         G = grading_from_fan(fan)
         assert G.r == 1 and G.weights == ((1,),) * (d + 1)
-        assert G.torsion == ()
 
 
 def test_blowup_p2_frozen():
@@ -73,14 +71,14 @@ def test_blowup_p4_line_frozen():
     assert primitive_collections(fan) == ((0, 4, 5), (1, 2, 3))
     G = grading_from_fan(fan)
     assert G.weights == ((1, 1), (1, 0), (1, 0), (1, 0), (1, 1), (0, 1))
-    assert G.r == 2 and G.torsion == ()
+    assert G.r == 2
 
 
 def test_weighted_space():
     sp = weighted_space(1, 1, 2)
     assert sp.fan is None
     assert sp.grading.weights == ((1,), (1,), (2,))
-    assert sp.exceptional.strata == ((0, 1, 2),)
+    assert sp.strata == ((0, 1, 2),)
     with pytest.raises(InvalidParams):
         weighted_space()
     with pytest.raises(InvalidParams):
@@ -95,6 +93,15 @@ def test_builtin_parsing():
         with pytest.raises(InvalidParams):
             builtin(bad)
     assert len(BUILTIN_TEMPLATES) == 4
+
+
+def test_projective_dimension_is_checked_before_the_rays_are_built():
+    # P^d has d+1 rays of length d: a large d once built them all before validate refused it
+    t0 = time.monotonic()
+    for d in (0, 16, 10**9, 10**100):
+        with pytest.raises(InvalidParams, match="projective dimension must be in 1..15"):
+            builtin(f"projective({d})")
+    assert time.monotonic() - t0 < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +126,8 @@ def test_exceptional_counts(q):
 
 
 def test_exceptional_strata_from_primitive_collections():
-    exc = exceptional_set(blowup_p4_line_fan())
-    assert set(exc.strata) == {(0, 4, 5), (1, 2, 3)}
+    sp = space_from_fan(blowup_p4_line_fan())
+    assert set(sp.strata) == {(0, 4, 5), (1, 2, 3)}
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +165,6 @@ def test_torsion_class_group():
     fan = make_fan(2, [(1, 1), (1, -1)], [(0,), (1,)])
     with pytest.raises(TorsionClassGroup):
         grading_from_fan(fan)
-    G = grading_from_fan(fan, require_free=False)
-    assert G.torsion == (2,)
 
 
 def test_non_effective_grading():
@@ -230,9 +235,9 @@ def _random_fan(rng):
     return make_fan(d, rays, [(i,) for i in range(len(rays))])
 
 
-def _grading_outcome(derive, fan, require_free):
+def _grading_outcome(derive, fan):
     try:
-        return derive(fan, require_free)
+        return derive(fan)
     except ToricountError as exc:
         return type(exc), str(exc)
 
@@ -242,11 +247,10 @@ def test_grading_matches_sympy_oracle():
     outcomes = set()
     for seed in range(60):
         fan = _random_fan(SplitMix64(seed))
-        for require_free in (True, False):
-            ours = _grading_outcome(grading_from_fan, fan, require_free)
-            assert ours == _grading_outcome(sympy_grading, fan, require_free), fan
-            outcomes.add(ours[0] if isinstance(ours, tuple) else bool(ours.torsion))
-    assert outcomes == {TorsionClassGroup, NonEffectiveGrading, True, False}
+        ours = _grading_outcome(grading_from_fan, fan)
+        assert ours == _grading_outcome(sympy_grading, fan), fan
+        outcomes.add(ours[0] if isinstance(ours, tuple) else type(ours))
+    assert outcomes == {TorsionClassGroup, NonEffectiveGrading, GradingData}
 
 
 def test_weight_search_is_capped():
@@ -263,7 +267,6 @@ def test_weights_canonical_up_to_column_basis():
     for mk in (projective_fan(4), blowup_p2_fan(), blowup_p4_line_fan()):
         G = grading_from_fan(mk)
         assert all(w >= 0 for row in G.weights for w in row)
-        assert G.is_effective
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +308,12 @@ def test_space_from_fan_names():
 
 
 def test_grading_data_effectiveness():
-    assert GradingData(weights=((1,), (2,))).is_effective
-    assert not GradingData(weights=((1,), (-2,))).is_effective
+    # a grading is effective by construction: a negative weight is refused when it is built
+    assert GradingData(weights=((1,), (2,))).weights == ((1,), (2,))
+    with pytest.raises(NonEffectiveGrading):
+        GradingData(weights=((1,), (-2,)))
+    with pytest.raises(NonEffectiveGrading):
+        GradingData(weights=((0, 1), (1, -1)))
 
 
 def test_grading_shape_comes_from_its_weights():

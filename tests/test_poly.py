@@ -247,6 +247,12 @@ def test_parse_errors_with_positions():
     with pytest.raises(PolyParseError):
         parse("x0 ++ x1", 2, F2)
     assert parse("1/2*x0", 1, QQ).as_dict() == {(1,): Fraction(1, 2)}
+    # past Python's 4300-digit limit int() raises ValueError; the parser names the position
+    digits = "9" * 5000
+    for text, position in ((f"x0^{digits}", 3), (f"x{digits}", 1), (f"x0 + {digits}", 5)):
+        with pytest.raises(PolyParseError) as ei:
+            parse(text, 2, F2)
+        assert ei.value.position == position and "too many digits" in str(ei.value)
 
 
 def test_parsed_power_is_bounded_before_it_expands(monkeypatch):
@@ -262,6 +268,24 @@ def test_parsed_power_is_bounded_before_it_expands(monkeypatch):
         with pytest.raises(CapExceeded, match=f"expand to {bound} terms, past {MAX_POWER_TERMS}"):
             parse(text, 3, QQ)
     assert expanded == []
+
+
+def test_parsed_product_is_bounded_before_it_expands(monkeypatch):
+    # a product of t1 and t2 terms of degrees d1, d2 in n variables has at most
+    # min(t1*t2, C(n+d1+d2, n)) terms
+    assert len(parse("(x0+x1+x2)^20*(x0+x1)", 3, QQ).terms) == 252  # 462 and 2024
+    assert len(parse("(x0+1)^30*(x0+1)^30", 1, QQ).terms) == 61  # 961 and 61
+    assert len(parse("(x0+x1+x2)^10*(x0+x1+x2)^5", 3, QQ).terms) == 136  # 1386 and 816
+    real = MultiPoly.__mul__
+    products = []
+    monkeypatch.setattr(
+        MultiPoly, "__mul__", lambda a, b: products.append((len(a.terms), len(b.terms))) or real(a, b)
+    )
+    for text, bound in (("(x0+x1+x2)^20*(x0+x1+x2)^20", 12341),
+                        ("(x0+x1+x2)^10*(x0+x1+x2)^5*(x0+x1+x2)^5", 1771)):
+        with pytest.raises(CapExceeded, match=f"a product may expand to {bound} terms, past"):
+            parse(text, 3, QQ)
+    assert (231, 231) not in products and (136, 21) not in products
 
 
 def test_parse_parenthesized_and_unary_minus():
