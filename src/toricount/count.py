@@ -8,7 +8,10 @@ are sums of discrete logs, each exponent reduced mod q-1 before it meets int64,
 and their values are added as F_p digits for odd p and XORed as element indices
 in characteristic 2. Each polynomial is written as x^g*F with x^g its largest
 monomial factor, is zero where a variable of x^g is, and has F evaluated only
-on the axes F uses. Results are independent of the block partitioning. numpy
+on the axes F uses. On a large enough block F is written once more as
+sum_o x_O^o * F_o over a few outer axes O: each F_o is summed on its own axes,
+and its values, turned into element indices and logs, join x_O^o in one lookup
+on the block. Results are independent of the block partitioning. numpy
 is imported by the functions that use it, so the package loads it with the
 first count and not before. Gradings are free and effective by construction
 (`fan.GradingData`), so the toric counts do not check them.
@@ -101,13 +104,17 @@ _ORBIT_POINT_CAP = 1 << 22
 #: systems the planner expands; any further one goes to the kernel whole
 _PLAN_NODE_CAP = 1 << 12
 
-#: boxes of at most this many points go to the kernel whole: on them the kernel's
-#: fixed cost per term outweighs the points a plan saves. In check_esnault on 20
-#: seeded quintics (2-CPU Xeon, numpy 2.4), the 5^6-point grid of GF(5) counted as
-#: fast whole as planned, and the 11^4-point boxes of GF(11) faster whole (1.7-3.3
-#: ms a check against 2.3-4.1 ms planned). The 13^4-point boxes of GF(13), which
-#: this floor plans, also counted faster whole (1.8-3.5 ms against 2.3-4.7 ms).
+#: boxes of at most this many points go to the kernel whole: on them the kernel's fixed
+#: cost per term outweighs the points a plan saves. In check_esnault on 20 seeded quintics
+#: (2-CPU Xeon, numpy 2.4) the 5^6-point grid of GF(5) counted faster whole (0.54-0.66 ms a
+#: check against 0.74-0.94 ms planned), as did the 11^4-point boxes of GF(11) (1.4-1.6 ms
+#: against 1.8-2.1 ms) and the 13^4-point boxes of GF(13), which this floor plans (1.6-1.8
+#: ms against 2.0-2.3 ms).
 _PLAN_MIN_POINTS = 1 << 14
+
+#: blocks of at least this many points may group a polynomial's terms (`_outer_axes`), which
+#: charges a numpy pass twice this many points, the cost that best matched kernel timings
+_GROUP_MIN_POINTS = 1 << 11
 
 
 # --------------------------------------------------------------------------
@@ -170,8 +177,9 @@ def _axis_view(values: np.ndarray, i: int, rho: int) -> np.ndarray:
     return values.reshape((1,) * i + (-1,) + (1,) * (rho - 1 - i))
 
 
-def _reduce_digits(acc: np.ndarray, p: int, f: int, bits: int) -> np.ndarray:
-    """Reduce each `bits`-wide F_p digit packed in `acc` mod p."""
+def _reduce_digits(acc: np.ndarray, p: int, f: int, bits: int, index: bool = False) -> np.ndarray:
+    """Reduce each `bits`-wide F_p digit packed in `acc` mod p; with `index`, give the
+    element index sum_j digit_j * p^j of the reduced digits instead (the residue if f = 1)."""
     if f == 1:
         return acc % p
     import numpy as np
@@ -179,8 +187,50 @@ def _reduce_digits(acc: np.ndarray, p: int, f: int, bits: int) -> np.ndarray:
     low = (1 << bits) - 1
     out = np.zeros_like(acc)
     for j in range(f):
-        out |= ((acc >> (bits * j)) & low) % p << (bits * j)
+        out += ((acc >> (bits * j)) & low) % p * (p ** j if index else 1 << (bits * j))
     return out
+
+
+def _outer_axes(P: MultiPoly, used: set, shape, spec: FieldSpec) -> tuple[int, ...]:
+    """The outer axes O by whose exponents the terms of P = x^g * F group most cheaply.
+
+    F uses the axes `used` of a block of `shape`. A pass over an array costs
+    its points and a fixed 2 * _GROUP_MIN_POINTS. Unsplit, F costs a block pass
+    a term; split, a block pass and a value step (one fixed cost for p = 2, 2f
+    for odd p) a group, a pass over the inner axes a term, and two fixed costs.
+    O grows along the used axes, fewest distinct exponents first, while its
+    groups (two or more, as g is factored out) cost less than the best so far.
+    """
+    full = math.prod([shape[i] for i in used])
+    fixed = 2 * _GROUP_MIN_POINTS
+    per_group = full + fixed * (2 if spec.p == 2 else 1 + 2 * spec.f)
+    terms = len(P.terms)
+    best, least = (), terms * (full + fixed)
+    if full < _GROUP_MIN_POINTS or 2 * per_group + (terms + 2) * fixed >= least:
+        return best
+    columns = list(zip(*[e for e, _ in P.terms]))
+    order = sorted(used, key=lambda i: (len(set(columns[i])), i))
+    for k in range(1, len(order)):
+        cost = len(set(zip(*[columns[i] for i in order[:k]]))) * per_group + (terms + 2) * fixed
+        if cost >= least:
+            break
+        if (cost := cost + terms * math.prod([shape[i] for i in order[k:]])) < least:
+            best, least = tuple(order[:k]), cost
+    return best
+
+
+def _group(terms: list, P: MultiPoly, outer: tuple[int, ...]) -> tuple[list, list]:
+    """F's `terms` grouped by P's exponents on `outer`: the terms alone in their group,
+    and each other group x_O^o * F_o as (F_o's terms, the factors of x_O^o)."""
+    by_key: dict = {}
+    for term, (e, _) in zip(terms, P.terms):
+        by_key.setdefault(tuple(e[i] for i in outer), []).append(term)
+    ones = [group[0] for group in by_key.values() if len(group) == 1]
+    return ones, [
+        ([(c, [f for f in factors if f[0] not in outer]) for c, factors in group],
+         [f for f in group[0][1] if f[0] in outer])
+        for group in by_key.values() if len(group) > 1
+    ]
 
 
 def _zero_masks(
@@ -212,6 +262,13 @@ def _zero_masks(
     some i with g_i > 0 or where F = 0. F is evaluated only on the axes its
     terms use, with size 1 on the others, and its zeros are broadcast into
     the block's mask: x0^2 * P3(x1, x2, x3) costs q^3 points, not q^4.
+
+    One level of Horner's rule then writes F as sum_o x_O^o * F_o over the
+    outer axes O that `_outer_axes` picks. Each F_o of two or more terms is
+    summed on its own axes, and its values become element indices (the XORed
+    index for p = 2, the residue for f = 1, sum_j digit_j * p^j for odd p^f)
+    and then logs, so x_O^o * F_o costs one lookup on the block: the strict
+    transform x0^2*P3 + x0*x4*Q3 + x4*x5*Q4 costs 3 lookups on F_q^6, not 35.
     """
     import numpy as np
 
@@ -219,8 +276,12 @@ def _zero_masks(
     q, p, f = spec.q, spec.p, spec.f
     rho = len(axes)
     log, exp = log_tables(spec)
-    # each P = x^g * F as (the axes i with g_i > 0, the axes F uses, F's terms)
-    factored = []
+    sizes = [len(a) for a in axes]
+    k = next(k for k in range(rho + 1) if math.prod(sizes[k:]) <= _BLOCK_TARGET)
+    block_shape = [1] * k + sizes[k:]
+    # each P = x^g * F as (axes i with g_i > 0, axes F uses, F's ungrouped terms, its
+    # groups, their inner axes); `width` counts a log sum's summands that may be sentinels
+    factored, powers, width = [], set(), 0
     for P in polys:
         g = [min(col) for col in zip(*(e for e, _ in P.terms))]
         terms = [
@@ -228,8 +289,14 @@ def _zero_masks(
             for exps, c in P.terms
         ]
         used = {i for _, factors in terms for i, _ in factors}
-        factored.append(([i for i, gi in enumerate(g) if gi], used, terms))
-    width = max((len(factors) for *_, terms in factored for _, factors in terms), default=0)
+        powers |= {factor for _, factors in terms for factor in factors}
+        width = max([width] + [len(factors) for _, factors in terms])
+        outer = _outer_axes(P, used, block_shape, spec)
+        # a group's log sum, log F_o and the factors of x_O^o, has no more summands
+        # than its longest term: that term has an inner factor too
+        terms, groups = _group(terms, P, outer) if outer else (terms, [])
+        zero_axes = [i for i, gi in enumerate(g) if gi]
+        factored.append((zero_axes, used, terms, groups, used - set(outer)))
     # a log sum without a zero factor stays below the sentinel; one with a zero reaches it
     sentinel = (width + 1) * (q - 1)
     if p == 2:
@@ -237,15 +304,23 @@ def _zero_masks(
         packed, add, headroom = exp, np.bitwise_xor, None
     else:
         bits = 63 // f
-        packed = sum((exp // p ** j % p) << (bits * j) for j in range(f))
-        add = np.add
+        packed, add = sum((exp // p ** j % p) << (bits * j) for j in range(f)), np.add
         # terms that reduced digits (at most p-1) can take before one could overflow
         headroom = ((1 << bits) - 1) // (p - 1) - 1
     value = np.zeros(width * sentinel + q - 1, dtype=np.int64)
-    value[:sentinel] = np.resize(packed, sentinel)
-    powers = {factor for *_, terms in factored for _, factors in terms for factor in factors}
-    sizes = [len(a) for a in axes]
-    k = next(k for k in range(rho + 1) if math.prod(sizes[k:]) <= _BLOCK_TARGET)
+    value[:sentinel].reshape(width + 1, q - 1)[:] = packed
+
+    def accumulate(terms, used) -> np.ndarray:
+        """The values of the terms (log c or log array, factors) summed on the axes `used`."""
+        acc = np.zeros([m if i in used else 1 for i, m in enumerate(shape)], dtype=np.int64)
+        for n, (s, factors) in enumerate(terms, 1):
+            for factor in factors:
+                s = s + logs[factor]
+            add(acc, value[s], out=acc)
+            if headroom and n % headroom == 0:
+                acc = _reduce_digits(acc, p, f, bits)
+        return acc
+
     for lead in itertools.product(*axes[:k]):
         block = [np.array([v]) for v in lead] + list(axes[k:])
         shape = tuple(len(a) for a in block)
@@ -255,17 +330,16 @@ def _zero_masks(
             power = np.where(a == 0, sentinel, e % (q - 1) * log[a] % (q - 1))
             logs[i, e] = _axis_view(power, i, rho)
         mask = np.ones(shape, dtype=bool)
-        for zero_axes, used, terms in factored:
-            acc = np.zeros([m if i in used else 1 for i, m in enumerate(shape)], dtype=np.int64)
-            for n, (clog, factors) in enumerate(terms, 1):
-                s = clog
-                for factor in factors:
-                    s = s + logs[factor]
-                add(acc, value[s], out=acc)
-                if headroom and n % headroom == 0:
-                    acc = _reduce_digits(acc, p, f, bits)
+        for zero_axes, used, terms, groups, inner_used in factored:
+            for inner, factors in groups:
+                index = accumulate(inner, inner_used)
+                if headroom:
+                    index = _reduce_digits(index, p, f, bits, index=True)
+                terms = terms + [(np.where(index == 0, sentinel, log[index]), factors)]
+            acc = accumulate(terms, used)
+            # zero where every digit is 0 mod p; for one digit (f = 1) that is acc % p == 0
             if headroom:
-                acc = _reduce_digits(acc, p, f, bits)
+                acc = acc % p if f == 1 else _reduce_digits(acc, p, f, bits)
             zero = acc == 0
             for i in zero_axes:
                 zero = zero | _axis_view(block[i] == 0, i, rho)

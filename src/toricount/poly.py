@@ -363,28 +363,37 @@ def substitute(P: MultiPoly, images: Sequence[MultiPoly]) -> MultiPoly:
 # --------------------------------------------------------------------------
 
 def monomials_of_multidegree(grading: GradingData, d: MultiDegree) -> tuple[tuple[int, ...], ...]:
-    """All exponent vectors of exact multidegree d, descending lex (deterministic)."""
+    """All exponent vectors of exact multidegree d, descending lex (deterministic).
+
+    The last exponent is solved for, not searched. CapExceeded is raised past
+    MAX_POWER_TERMS monomials or rho * MAX_POWER_TERMS exponent prefixes.
+    """
     if len(d) != grading.r:
         raise InvalidParams(f"degree vector has {len(d)} entries, grading rank is {grading.r}")
     for i in range(grading.rho):
         if all(w == 0 for w in grading.weights[i]):
             raise InvalidParams(f"variable x{i} has zero weight; exponents unbounded")
     out: list[tuple[int, ...]] = []
+    steps = iter(range(grading.rho * MAX_POWER_TERMS))
 
     def rec(i: int, rem: tuple[int, ...], prefix: tuple[int, ...]) -> None:
-        if i == grading.rho:
-            if all(x == 0 for x in rem):
-                out.append(prefix)
-            return
+        if next(steps, None) is None:
+            raise CapExceeded(f"the monomials of multidegree {tuple(d)} take more than "
+                              f"{grading.rho * MAX_POWER_TERMS} steps to list")
         w = grading.weights[i]
         e_max = min(rem[j] // w[j] for j in range(grading.r) if w[j] > 0)
-        for e in range(e_max + 1):
-            new_rem = tuple(rem[j] - e * w[j] for j in range(grading.r))
-            if any(x < 0 for x in new_rem):
-                break
-            rec(i + 1, new_rem, prefix + (e,))
+        if i < grading.rho - 1:
+            for e in range(e_max + 1):
+                rec(i + 1, tuple(rem[j] - e * w[j] for j in range(grading.r)), prefix + (e,))
+        elif all(x == e_max * wj for x, wj in zip(rem, w)):
+            out.append(prefix + (e_max,))
+            if len(out) > MAX_POWER_TERMS:
+                raise CapExceeded(f"multidegree {tuple(d)} has more than {MAX_POWER_TERMS} monomials")
 
-    rec(0, tuple(d), ())
+    if not grading.rho:
+        return ((),)
+    if all(x >= 0 for x in d):
+        rec(0, tuple(d), ())
     return tuple(sorted(out, reverse=True))
 
 

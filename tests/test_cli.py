@@ -557,6 +557,19 @@ def test_parsed_product_past_its_cap_is_refused_before_it_expands(capsys):
     assert "error: a product may expand to 91881 terms" in err
 
 
+def test_verify_degree_past_the_monomial_bound_is_refused_before_it_lists(capsys):
+    # weighted(2,2,2,2) has no monomial of odd degree; listing the exponents of degree 401
+    # to find none ran past 60 s, and projective(3) at degree 80 took 6 s to exit 2
+    cases = (("weighted(2,2,2,2)", "401", ()), ("projective(3)", "80", ("--work-cap", "10")))
+    for fan, degree, cap in cases:
+        t0 = time.monotonic()
+        code, out, err = run(capsys, "verify", "ax", "--field", "GF(2)", "--fan", fan,
+                             "--degree", degree, "--batch", "1", "--seed", "1", *cap)
+        assert time.monotonic() - t0 < 1.0, fan
+        assert code == EXIT_INPUT and out == "", fan
+        assert f"multidegree ({degree},)" in err, fan
+
+
 def test_exponents_past_int64_count_exactly(capsys):
     # 2^62+1 = 5 (mod 6) and 10^20-1 = 3 (mod 4): the kernel sees x^5 and x^3
     for field, e, n_affine, n_toric in (("GF(7)", 2**62 + 1, 49, 8), ("GF(5)", 10**20 - 1, 25, 6)):

@@ -1,7 +1,7 @@
 import dataclasses
 import itertools
 from collections import Counter
-from math import comb, gcd
+from math import comb, gcd, prod
 from unittest import mock
 
 import numpy as np
@@ -228,6 +228,80 @@ def test_zero_masks_evaluate_the_cofactor_on_its_own_axes(monkeypatch):
     monkeypatch.setattr(count, "_reduce_digits", lambda *a: shapes.append(a[0].shape) or real(*a))
     assert kernel_count(P, spec) == q**3 + (q - 1) * zeros_of_p3
     assert shapes and set(shapes) == {(1, q, q, q)}
+
+
+def grouped_poly(spec, nvars, rng):
+    """sum_o m_o * F_o: 2 to 4 distinct monomials m_o in x0, x1 and F_o in the other
+    variables, with exponents below 3; the first F_o has one term, the others 2 to 4."""
+    outer = set()
+    while len(outer) < 2 + rng.next_below(3):
+        outer.add((rng.next_below(3), rng.next_below(3)))
+    mapping = {}
+    for n, o in enumerate(sorted(outer)):
+        for _ in range(2 + rng.next_below(3) if n else 1):
+            exps = o + tuple(rng.next_below(3) for _ in range(nvars - 2))
+            mapping[exps] = spec.from_index(1 + rng.next_below(spec.q - 1))
+    return MultiPoly.from_dict(nvars, spec, mapping)
+
+
+@pytest.mark.parametrize(
+    "spec,nvars",
+    [(F5, 4), (make_field(2, 3), 4), (F9, 4), (F289, 3), (F512, 3)],
+    ids=["GF(5)", "GF(2^3)", "GF(3^2)", "GF(17^2)", "GF(2^9)"],
+)
+def test_zero_masks_of_grouped_polynomials_match_oracle(monkeypatch, spec, nvars):
+    # The kernel groups sum_o m_o * F_o by outer monomial, sums each F_o on its own axes
+    # and turns its values into logs through element indices (packed digits for GF(3^2)
+    # and GF(17^2)). A floor of 16 points lets it group boxes that the oracle can afford
+    # point by point; each box holds 0, where cofactors with a variable vanish, and up to
+    # 14 more elements an axis, and the block targets fix no axis, the leading axis x0
+    # (an outer one), and every axis but the last two.
+    monkeypatch.setattr(count, "_GROUP_MIN_POINTS", 16)
+    groups = []
+    real_group = count._group
+    monkeypatch.setattr(count, "_group", lambda *a: groups.append(real_group(*a)) or groups[-1])
+    rng = SplitMix64(spec.q + 5)
+    for _ in range(6):
+        system = [grouped_poly(spec, nvars, rng) for _ in range(1 + rng.next_below(2))]
+        axes = [np.array(sorted({0} | {rng.next_below(spec.q) for _ in range(3)}))]
+        axes.append(np.array(sorted({0} | {rng.next_below(spec.q) for _ in range(3)})))
+        for _ in range(nvars - 2):
+            axes.append(np.array(sorted({0} | {rng.next_below(spec.q) for _ in range(14)})))
+        expected = naive_zero_mask(system, spec, axes)
+        sizes = [len(a) for a in axes]
+        for target in (len(expected), prod(sizes[1:]), prod(sizes[-2:])):
+            monkeypatch.setattr(count, "_BLOCK_TARGET", target)
+            masks = [mask.ravel() for _, mask in _zero_masks(system, spec, axes)]
+            assert np.array_equal(np.concatenate(masks), expected), (system, target)
+    # the kernel grouped terms, into groups of several terms and groups of one
+    assert any(grouped for _, grouped in groups) and any(ones for ones, _ in groups)
+
+
+def test_zero_masks_group_the_strict_transform_by_its_outer_monomials(monkeypatch):
+    # x0^2*P3 + x0*x4*Q3 + x4*x5*Q4 on GF(5)^6: the kernel groups the 35 terms by their
+    # exponents on x0, x4, x5, so the digits reduced are those of P3, Q3 and Q4 on
+    # F_5^3, accumulators of shape (1, 5, 5, 5, 1, 1), and not those of the grid
+    inst = dense_instance(F5, 11)
+    shapes = []
+    real = count._reduce_digits
+
+    def spy(acc, *args, **kwargs):
+        shapes.append(acc.shape)
+        return real(acc, *args, **kwargs)
+
+    monkeypatch.setattr(count, "_reduce_digits", spy)
+    assert kernel_count(strict_transform(inst), F5) == blowup_fiber_count(inst)
+    assert shapes and set(shapes) == {(1, 5, 5, 5, 1, 1)}
+
+
+@pytest.mark.parametrize("p,f", [(11, 1), (2, 3)], ids=["GF(11)", "GF(2^3)"])
+def test_zero_masks_keep_small_cofactors_ungrouped(monkeypatch, p, f):
+    # the plans of GF(11) and GF(8) hand the kernel cofactors on 11^3 and 8^3 points,
+    # below count._GROUP_MIN_POINTS, so no polynomial of theirs is grouped
+    groups = []
+    monkeypatch.setattr(count, "_group", lambda *a: groups.append(a))
+    check_esnault(random_instance(make_field(p, f), 3))
+    assert groups == []
 
 
 def power_eval(P, point, powers):
@@ -893,6 +967,10 @@ GOLDEN_ESNAULT = [
     (13, 1, 3, 421993, 4393, 2900),
     (257, 1, 3, 1129980560897, 33949185, 17241617),
     (3, 5, 3, 854119573209, 28697813, 14583889),
+    # recorded before the kernel grouped terms by their outer monomial, which it does on
+    # the two-variable boxes of these plans (packed digits for GF(17^2), XOR for GF(2^10))
+    (17, 2, 3, 2030184706753, 48275137, 24475989),
+    (2, 10, 3, 1128028196242432, 2147483647, 1077873665),
 ]
 GOLDEN_ORBITS_F5 = {1: 281, 2: 246, 3: 236}
 

@@ -1,3 +1,5 @@
+import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,7 +15,7 @@ from toricount.errors import (
     UnknownVariable,
     ZeroPolynomial,
 )
-from toricount.fan import builtin
+from toricount.fan import builtin, weighted_space
 from toricount.ff import make_field
 from toricount.poly import (
     MAX_POWER_TERMS,
@@ -141,10 +143,29 @@ def test_ax_exponent():
 def test_monomials_of_multidegree():
     monos = monomials_of_multidegree(BLOWUP, (5, 2))
     assert len(monos) == 81
-    assert monos == tuple(sorted(monos, reverse=True))
-    for e in monos:
-        assert multidegree(MultiPoly.monomial(6, F2, e, F2.one()), BLOWUP) == (5, 2)
+    # every exponent of multidegree (5, 2) is at most 5, so the box 0..5 holds them all
+    box = itertools.product(range(6), repeat=6)
+    assert monos == tuple(sorted(
+        (e for e in box if multidegree(MultiPoly.monomial(6, F2, e, F2.one()), BLOWUP) == (5, 2)),
+        reverse=True,
+    ))
     assert len(monomials_of_multidegree(standard_grading(5), (5,))) == 126
+
+
+def test_monomial_listing_is_bounded():
+    # weighted(2,2,2,2) has no monomial of odd degree, and once listed all ~C(103, 3)
+    # exponent prefixes of degree 201 to find none (11 s); projective(3) has C(83, 3)
+    start = time.monotonic()
+    with pytest.raises(CapExceeded, match=f"take more than {4 * MAX_POWER_TERMS} steps"):
+        monomials_of_multidegree(weighted_space(2, 2, 2, 2).grading, (201,))
+    with pytest.raises(CapExceeded, match=f"has more than {MAX_POWER_TERMS} monomials"):
+        monomials_of_multidegree(standard_grading(4), (80,))
+    assert time.monotonic() - start < 1.0
+    # the highest degree of standard_grading(3) under the bound, and a solved last exponent
+    assert len(monomials_of_multidegree(standard_grading(3), (43,))) == 990
+    assert monomials_of_multidegree(weighted_space(1, 2, 3).grading, (4,)) == (
+        (4, 0, 0), (2, 1, 0), (1, 0, 1), (0, 2, 0)
+    )
 
 
 # ---------------------------------------------------------------------------
