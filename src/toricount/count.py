@@ -11,7 +11,9 @@ monomial factor, is zero where a variable of x^g is, and has F evaluated only
 on the axes F uses. On a large enough block F is written once more as
 sum_o x_O^o * F_o over a few outer axes O: each F_o is summed on its own axes,
 and its values, turned into element indices and logs, join x_O^o in one lookup
-on the block. Results are independent of the block partitioning. numpy
+on the block. All of that is compiled once per support, field and block shape
+and kept; a call binds only the coefficients' logs. Results are independent of
+the block partitioning. numpy
 is imported by the functions that use it, so the package loads it with the
 first count and not before. Gradings are free and effective by construction
 (`fan.GradingData`), so the toric counts do not check them.
@@ -67,7 +69,8 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from . import quintic as quintic_mod
@@ -115,6 +118,13 @@ _PLAN_MIN_POINTS = 1 << 14
 #: blocks of at least this many points may group a polynomial's terms (`_outer_axes`), which
 #: charges a numpy pass twice this many points, the cost that best matched kernel timings
 _GROUP_MIN_POINTS = 1 << 11
+
+#: kernel programs (`_compile`, least recently used dropped first) and multidegrees
+#: (`_toric_input`, oldest dropped first) kept. 16 programs of poly.MAX_POWER_TERMS = 1000
+#: terms in 6 variables hold about 3.2 MB (tracemalloc). The dense quintics of each
+#: perfbench workload share 2 or 3 programs; 16 serve 74-87% of the kernel calls of a
+#: random batch, 64 serve 80-92% (100 instances over GF(11), GF(8), GF(9), GF(13), GF(17))
+_PROGRAM_CACHE = 16
 
 
 # --------------------------------------------------------------------------
@@ -191,25 +201,31 @@ def _reduce_digits(acc: np.ndarray, p: int, f: int, bits: int, index: bool = Fal
     return out
 
 
-def _outer_axes(P: MultiPoly, used: set, shape, spec: FieldSpec) -> tuple[int, ...]:
+def _outer_axes(exps: tuple, used: frozenset, shape, p: int, f: int) -> tuple[int, ...]:
     """The outer axes O by whose exponents the terms of P = x^g * F group most cheaply.
 
-    F uses the axes `used` of a block of `shape`. A pass over an array costs
-    its points and a fixed 2 * _GROUP_MIN_POINTS. Unsplit, F costs a block pass
-    a term; split, a block pass and a value step (one fixed cost for p = 2, 2f
-    for odd p) a group, a pass over the inner axes a term, and two fixed costs.
-    O grows along the used axes, fewest distinct exponents first, while its
-    groups (two or more, as g is factored out) cost less than the best so far.
+    P's terms have the exponents `exps`, and F uses the axes `used` of a block
+    of `shape` over GF(p^f). A pass over an array costs its points and a fixed
+    2 * _GROUP_MIN_POINTS. Unsplit, F costs a block pass a term; split, a block
+    pass and a value step (one fixed cost for p = 2, 2f for odd p) a group, a
+    pass over the inner axes a term, and two fixed costs. No O has fewer
+    groups than the used axis of fewest distinct exponents (two or more, as g
+    is factored out), so when that many cost too much nothing is tried. Else O
+    grows along the used axes, fewest distinct exponents first, while its
+    groups cost less than the best so far.
     """
     full = math.prod([shape[i] for i in used])
+    if full < _GROUP_MIN_POINTS:
+        return ()
     fixed = 2 * _GROUP_MIN_POINTS
-    per_group = full + fixed * (2 if spec.p == 2 else 1 + 2 * spec.f)
-    terms = len(P.terms)
+    per_group = full + fixed * (2 if p == 2 else 1 + 2 * f)
+    terms = len(exps)
     best, least = (), terms * (full + fixed)
-    if full < _GROUP_MIN_POINTS or 2 * per_group + (terms + 2) * fixed >= least:
+    columns = list(zip(*exps))
+    distinct = {i: len(set(columns[i])) for i in used}
+    if min(distinct.values()) * per_group + (terms + 2) * fixed >= least:
         return best
-    columns = list(zip(*[e for e, _ in P.terms]))
-    order = sorted(used, key=lambda i: (len(set(columns[i])), i))
+    order = sorted(used, key=lambda i: (distinct[i], i))
     for k in range(1, len(order)):
         cost = len(set(zip(*[columns[i] for i in order[:k]]))) * per_group + (terms + 2) * fixed
         if cost >= least:
@@ -219,18 +235,73 @@ def _outer_axes(P: MultiPoly, used: set, shape, spec: FieldSpec) -> tuple[int, .
     return best
 
 
-def _group(terms: list, P: MultiPoly, outer: tuple[int, ...]) -> tuple[list, list]:
-    """F's `terms` grouped by P's exponents on `outer`: the terms alone in their group,
-    and each other group x_O^o * F_o as (F_o's terms, the factors of x_O^o)."""
+def _group(terms: list, exps: tuple, outer: tuple[int, ...]) -> tuple[list, list]:
+    """F's `terms`, (term index, factors), grouped by the exponents `exps` on `outer`: the
+    terms alone in their group, and each other group x_O^o * F_o as (F_o's terms, the
+    factors of x_O^o)."""
     by_key: dict = {}
-    for term, (e, _) in zip(terms, P.terms):
-        by_key.setdefault(tuple(e[i] for i in outer), []).append(term)
+    key = itemgetter(*outer)
+    for term, e in zip(terms, exps):
+        by_key.setdefault(key(e), []).append(term)
     ones = [group[0] for group in by_key.values() if len(group) == 1]
     return ones, [
-        ([(c, [f for f in factors if f[0] not in outer]) for c, factors in group],
+        ([(t, [f for f in factors if f[0] not in outer]) for t, factors in group],
          [f for f in group[0][1] if f[0] in outer])
         for group in by_key.values() if len(group) > 1
     ]
+
+
+@dataclass(frozen=True, slots=True)
+class _Program:
+    """What the kernel evaluates of P = x^g * F, from P's exponents alone (`_compile`).
+
+    A term is (index, factors), factors the (axis i, exponent) pairs of its
+    monomial over x^g, and index points into P's coefficient logs. F's terms
+    list its ungrouped terms and one term x_O^o for each group, whose index
+    follows P's own terms in group order; `groups` holds each group's F_o as
+    terms on the axes `inner_used`. `width` bounds the factors of a term.
+    """
+
+    zero_axes: tuple[int, ...]
+    used: frozenset
+    terms: tuple
+    groups: tuple
+    inner_used: frozenset
+    powers: frozenset
+    width: int
+
+
+@lru_cache(maxsize=_PROGRAM_CACHE)
+def _compile(p: int, f: int, shape: tuple[int, ...], exps: tuple) -> _Program:
+    """The program of a polynomial whose terms have the exponents `exps`, on blocks of `shape`
+    over GF(p^f): P = x^g * F, g the least exponent of each variable, and F grouped by the
+    outer axes that `_outer_axes` picks."""
+    g = [min(col) for col in zip(*exps)]
+    pairs: dict = {}  # one (i, e) object per factor, shared by its terms: kept programs stay small
+    terms = []
+    for row in exps:
+        factors = []
+        for i, e in enumerate(row):
+            if e > g[i]:
+                pair = (i, e - g[i])
+                factors.append(pairs.setdefault(pair, pair))
+        terms.append(factors)
+    used = frozenset([i for i, _ in pairs])
+    outer = _outer_axes(exps, used, shape, p, f)
+    indexed = list(enumerate(terms))
+    ones, groups = _group(indexed, exps, outer) if outer else (indexed, [])
+    ones += [(len(exps) + j, factors) for j, (_, factors) in enumerate(groups)]
+    return _Program(
+        zero_axes=tuple(i for i, gi in enumerate(g) if gi),
+        used=used,
+        terms=tuple(ones),
+        groups=tuple(tuple(inner) for inner, _ in groups),
+        inner_used=used - set(outer),
+        powers=frozenset(pairs),
+        # a group's log sum, log F_o and the factors of x_O^o, has no more summands
+        # than its longest term: that term has an inner factor too
+        width=max([0] + [len(factors) for factors in terms]),
+    )
 
 
 def _zero_masks(
@@ -269,6 +340,13 @@ def _zero_masks(
     index for p = 2, the residue for f = 1, sum_j digit_j * p^j for odd p^f)
     and then logs, so x_O^o * F_o costs one lookup on the block: the strict
     transform x0^2*P3 + x0*x4*Q3 + x4*x5*Q4 costs 3 lookups on F_q^6, not 35.
+
+    All of that but the coefficients depends on P's exponents, the field's p
+    and f and the block shape only: it is compiled once for them (`_compile`,
+    kept for the _PROGRAM_CACHE supports last used) and shared by every
+    polynomial with that support, as the restrictions of P3, Q3 and Q4 are
+    across a plan's boxes. A call binds only the coefficient logs, gathered
+    in one lookup and read by term index.
     """
     import numpy as np
 
@@ -278,25 +356,16 @@ def _zero_masks(
     log, exp = log_tables(spec)
     sizes = [len(a) for a in axes]
     k = next(k for k in range(rho + 1) if math.prod(sizes[k:]) <= _BLOCK_TARGET)
-    block_shape = [1] * k + sizes[k:]
-    # each P = x^g * F as (axes i with g_i > 0, axes F uses, F's ungrouped terms, its
-    # groups, their inner axes); `width` counts a log sum's summands that may be sentinels
-    factored, powers, width = [], set(), 0
-    for P in polys:
-        g = [min(col) for col in zip(*(e for e, _ in P.terms))]
-        terms = [
-            (int(log[c.to_index()]), [(i, e - g[i]) for i, e in enumerate(exps) if e > g[i]])
-            for exps, c in P.terms
-        ]
-        used = {i for _, factors in terms for i, _ in factors}
-        powers |= {factor for _, factors in terms for factor in factors}
-        width = max([width] + [len(factors) for _, factors in terms])
-        outer = _outer_axes(P, used, block_shape, spec)
-        # a group's log sum, log F_o and the factors of x_O^o, has no more summands
-        # than its longest term: that term has an inner factor too
-        terms, groups = _group(terms, P, outer) if outer else (terms, [])
-        zero_axes = [i for i, gi in enumerate(g) if gi]
-        factored.append((zero_axes, used, terms, groups, used - set(outer)))
+    shape = (1,) * k + tuple(sizes[k:])
+    # compile: each polynomial's program, shared by every polynomial with its exponents;
+    # bind: its coefficient logs, gathered at once and read by term index
+    bound = [
+        (_compile(p, f, shape, tuple(e for e, _ in P.terms)),
+         log[[c.to_index() for _, c in P.terms]].tolist())
+        for P in polys
+    ]
+    powers = set().union(*(program.powers for program, _ in bound))
+    width = max([0] + [program.width for program, _ in bound])
     # a log sum without a zero factor stays below the sentinel; one with a zero reaches it
     sentinel = (width + 1) * (q - 1)
     if p == 2:
@@ -310,10 +379,12 @@ def _zero_masks(
     value = np.zeros(width * sentinel + q - 1, dtype=np.int64)
     value[:sentinel].reshape(width + 1, q - 1)[:] = packed
 
-    def accumulate(terms, used) -> np.ndarray:
-        """The values of the terms (log c or log array, factors) summed on the axes `used`."""
+    def accumulate(terms, used, values) -> np.ndarray:
+        """The terms (index into `values`, the log c or log array of each, and factors)
+        summed on the axes `used`."""
         acc = np.zeros([m if i in used else 1 for i, m in enumerate(shape)], dtype=np.int64)
-        for n, (s, factors) in enumerate(terms, 1):
+        for n, (t, factors) in enumerate(terms, 1):
+            s = values[t]
             for factor in factors:
                 s = s + logs[factor]
             add(acc, value[s], out=acc)
@@ -323,25 +394,25 @@ def _zero_masks(
 
     for lead in itertools.product(*axes[:k]):
         block = [np.array([v]) for v in lead] + list(axes[k:])
-        shape = tuple(len(a) for a in block)
         logs = {}
         for i, e in powers:
             a = block[i]  # x^e = g^((e mod q-1) * log x) for x != 0: e enters int64 reduced
             power = np.where(a == 0, sentinel, e % (q - 1) * log[a] % (q - 1))
             logs[i, e] = _axis_view(power, i, rho)
         mask = np.ones(shape, dtype=bool)
-        for zero_axes, used, terms, groups, inner_used in factored:
-            for inner, factors in groups:
-                index = accumulate(inner, inner_used)
+        for program, clog in bound:
+            values = clog
+            for inner in program.groups:
+                index = accumulate(inner, program.inner_used, clog)
                 if headroom:
                     index = _reduce_digits(index, p, f, bits, index=True)
-                terms = terms + [(np.where(index == 0, sentinel, log[index]), factors)]
-            acc = accumulate(terms, used)
+                values = values + [np.where(index == 0, sentinel, log[index])]
+            acc = accumulate(program.terms, program.used, values)
             # zero where every digit is 0 mod p; for one digit (f = 1) that is acc % p == 0
             if headroom:
                 acc = acc % p if f == 1 else _reduce_digits(acc, p, f, bits)
             zero = acc == 0
-            for i in zero_axes:
+            for i in program.zero_axes:
                 zero = zero | _axis_view(block[i] == 0, i, rho)
             mask &= zero
         yield block, mask
@@ -603,14 +674,27 @@ def _check_space_poly(P: MultiPoly, space: Space, spec: FieldSpec) -> None:
 # toric point counts (quotient formula and direct orbit enumeration)
 # --------------------------------------------------------------------------
 
+#: multidegrees by (exponents, grading), at most _PROGRAM_CACHE, the oldest dropped first
+_degrees: dict = {}
+
+
 def _toric_input(P: MultiPoly, space: Space, spec: FieldSpec) -> MultiDegree | None:
     """Check the input of a toric count; the multidegree of P, or None for P = 0.
 
     P must be homogeneous (orbits must be well defined), over `spec` and in one
     variable per ray, checked in that order. The grading is free and effective
-    by construction (`fan.GradingData`, `fan.grading_from_fan`).
+    by construction (`fan.GradingData`, `fan.grading_from_fan`). The degree
+    depends on P's exponents only and is kept for them, so the orbit and the
+    quotient count of one P check its homogeneity once.
     """
-    degree = None if P.is_zero else multidegree(P, space.grading)
+    degree = None
+    if not P.is_zero:
+        key = (tuple(e for e, _ in P.terms), space.grading)
+        if (degree := _degrees.get(key)) is None:
+            degree = multidegree(P, space.grading)  # an error propagates, and is not kept
+            if len(_degrees) >= _PROGRAM_CACHE:
+                del _degrees[next(iter(_degrees))]
+            _degrees[key] = degree
     _check_space_poly(P, space, spec)
     return degree
 
@@ -697,12 +781,13 @@ def toric_count_orbits(
             continue
         coords = [a[w] for a, w in zip(block, where)]
         best = np.full(n, points, dtype=np.int32)
-        code = np.empty(n, dtype=np.int32)
-        for s in shifts.tolist():
-            code.fill(0)
-            for t, si, c in zip(table, s, coords):
-                code += t[si][c]
-            np.minimum(best, code, out=best)
+        # the codes of the solutions under a chunk of torus elements, one broadcast an axis
+        step = max(1, _BLOCK_TARGET // n)
+        for start in range(0, len(shifts), step):
+            chunk = shifts[start:start + step]
+            code = sum(np.take(t[chunk[:, i]], c, axis=1)
+                       for i, (t, c) in enumerate(zip(table, coords)))
+            np.minimum(best, code.min(axis=0), out=best)
         seen[best] = True
     return int(np.count_nonzero(seen))
 

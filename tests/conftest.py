@@ -11,7 +11,16 @@ settings.register_profile(
 settings.load_profile("suite")
 
 
+from toricount import count  # noqa: E402
 from toricount.ff import make_field  # noqa: E402
+
+
+@pytest.fixture(autouse=True)
+def cold_count_caches():
+    """Start every test with no compiled kernel program and no kept multidegree, so that
+    a spy on `_group`, `multidegree` or a patched constant sees the compile step run."""
+    count._compile.cache_clear()
+    count._degrees.clear()
 
 
 @pytest.fixture(scope="session")

@@ -294,6 +294,108 @@ def test_zero_masks_group_the_strict_transform_by_its_outer_monomials(monkeypatc
     assert shapes and set(shapes) == {(1, 5, 5, 5, 1, 1)}
 
 
+@pytest.mark.parametrize(
+    "spec,nvars",
+    [(F5, 4), (make_field(2, 3), 4), (F9, 4), (F289, 3), (F512, 3)],
+    ids=["GF(5)", "GF(2^3)", "GF(3^2)", "GF(17^2)", "GF(2^9)"],
+)
+def test_zero_masks_bind_new_coefficients_to_a_compiled_support(monkeypatch, spec, nvars):
+    # A support is compiled once per block shape: under each of three block targets (no
+    # axis fixed, the leading axis, all but the last) the first of three coefficient draws
+    # on one grouped support misses the program cache and the later ones hit it, and every
+    # mask equals the oracle's. Each box holds 0, where the cofactors whose terms all have
+    # a variable vanish.
+    monkeypatch.setattr(count, "_GROUP_MIN_POINTS", 16)
+    rng = SplitMix64(spec.q + 9)
+    axes = [np.array(sorted({0} | {rng.next_below(spec.q) for _ in range(3)})) for _ in range(2)]
+    for _ in range(nvars - 2):
+        axes.append(np.array(sorted({0} | {rng.next_below(spec.q) for _ in range(10)})))
+    sizes = [len(a) for a in axes]
+    # the first support drawn whose program on the whole box groups its terms
+    support = ()
+    while not count._compile.__wrapped__(spec.p, spec.f, tuple(sizes), support).groups:
+        support = tuple(e for e, _ in grouped_poly(spec, nvars, rng).terms)
+    draws = [
+        MultiPoly.from_dict(
+            nvars, spec, {e: spec.from_index(1 + rng.next_below(spec.q - 1)) for e in support}
+        )
+        for _ in range(3)
+    ]
+    expected = [naive_zero_mask([P], spec, axes) for P in draws]
+    for target in (prod(sizes), prod(sizes[1:]), sizes[-1]):
+        monkeypatch.setattr(count, "_BLOCK_TARGET", target)
+        for n, (P, want) in enumerate(zip(draws, expected)):
+            hits = count._compile.cache_info().hits
+            masks = [mask.ravel() for _, mask in _zero_masks(P, spec, axes)]
+            assert np.array_equal(np.concatenate(masks), want), (P, target)
+            assert (count._compile.cache_info().hits > hits) == (n > 0), (n, target)
+
+
+def test_compiled_programs_are_keyed_by_field_and_block_shape():
+    # the same exponents compile again on another block shape and over another (p, f)
+    for spec in (F5, make_field(7), make_field(5, 2)):
+        P = parse("x0^2*x1 + 3*x1*x2 + 1", 3, spec)
+        q = spec.q
+        for lengths, compiles in (((q, q, q), True), ((q, 2, q), True), ((q, q, q), False)):
+            misses = count._compile.cache_info().misses
+            list(_zero_masks(P, spec, [np.arange(m) for m in lengths]))
+            assert count._compile.cache_info().misses == misses + compiles, (spec.name, lengths)
+    assert count._compile.cache_info().currsize == 6
+
+
+def test_count_caches_hold_at_most_their_bound():
+    # one more support than the bound: the program cache and the multidegree memo are full
+    space = builtin("projective(1)")
+    for k in range(1, count._PROGRAM_CACHE + 2):
+        P = parse(f"x0^{k} + x1^{k}", 2, F5)
+        assert toric_count_quotient(P, space, F5) == toric_count_orbits(P, space, F5)
+    assert count._compile.cache_info().currsize == count._PROGRAM_CACHE
+    assert len(count._degrees) == count._PROGRAM_CACHE
+
+
+def test_toric_counts_keep_a_degree_only_for_homogeneous_input(monkeypatch):
+    # a mixed-degree P raises on every call and leaves nothing kept; a homogeneous P is
+    # checked once for its orbit and quotient counts, and keeps poly.multidegree's value
+    # for its exponents and grading
+    space = builtin("projective(2)")
+    calls = []
+    real = count.multidegree
+    monkeypatch.setattr(count, "multidegree", lambda P, G: calls.append(P) or real(P, G))
+    mixed = parse("x0 + x1^2", 3, F5)
+    for name in ("quotient", "orbits", "quotient"):
+        with pytest.raises(NotHomogeneous):
+            COUNTS[name](mixed, F5)
+    assert len(calls) == 3 and not count._degrees
+    P = parse("x0^2 + 2*x1*x2", 3, F5)
+    assert toric_count_orbits(P, space, F5) == toric_count_quotient(P, space, F5)
+    assert len(calls) == 4
+    assert count._degrees == {(tuple(e for e, _ in P.terms), space.grading): real(P, space.grading)}
+    # the degree is kept per grading: under weights (1, 1, 2) x0^2 and x1*x2 differ
+    with pytest.raises(NotHomogeneous):
+        toric_count_quotient(P, builtin("weighted(1,1,2)"), F5)
+
+
+def test_outer_axes_picks_stay_pinned(monkeypatch):
+    # x0^2*P3 + x0*x4*Q3 + x4*x5*Q4 groups by x4, x5, x0 on the GF(5) orbit box and grid;
+    # the cofactors of the GF(11) and GF(8) plans group by nothing; A(x1) + x0*B(x1) of
+    # degree 20 on a GF(67) box groups by x0
+    picks = []
+    real = count._outer_axes
+    monkeypatch.setattr(
+        count, "_outer_axes", lambda *a: picks.append((a[2], real(*a))) or picks[-1][1]
+    )
+    P = strict_transform(dense_instance(F5, 11))
+    toric_count_orbits(P, BLOWUP, F5)
+    affine_count(P, F5)
+    assert picks == [((2, 2, 5, 5, 5, 5), (4, 5, 0)), ((5,) * 6, (4, 5, 0))]
+    for spec in (make_field(11), make_field(2, 3)):
+        picks.clear()
+        check_esnault(random_instance(spec, 3))
+        assert picks and all(outer == () for _, outer in picks), spec.name
+    exps = tuple((a, k) for a in (1, 0) for k in range(20, -1, -1))
+    assert real(exps, frozenset({0, 1}), (67, 67), 67, 1) == (0,)
+
+
 @pytest.mark.parametrize("p,f", [(11, 1), (2, 3)], ids=["GF(11)", "GF(2^3)"])
 def test_zero_masks_keep_small_cofactors_ungrouped(monkeypatch, p, f):
     # the plans of GF(11) and GF(8) hand the kernel cofactors on 11^3 and 8^3 points,
@@ -820,6 +922,33 @@ def test_orbit_count_evaluates_a_box_that_meets_every_orbit(monkeypatch, sp, len
     monkeypatch.setattr(count, "_zero_masks", spy)
     assert toric_count_orbits(MultiPoly.zero(sp.grading.rho, F5), sp, F5) == orbits
     assert evaluated == [lengths]
+
+
+@pytest.mark.parametrize(
+    "sp, spec",
+    [(BLOWUP, F5), (BLOWUP, make_field(7)), (builtin("weighted(1,1,3)"), F5)],
+    ids=["blowup_p4_line-GF(5)", "blowup_p4_line-GF(7)", "weighted(1,1,3)-GF(5)"],
+)
+def test_orbits_agree_when_torus_elements_are_chunked(monkeypatch, sp, spec):
+    # a _BLOCK_TARGET of q points cuts the box into rows of the last axis and the torus
+    # elements into chunks of at most q // n for n solutions; the counts do not change.
+    # The oracle's orbit sets take over a minute on the 7^6 grid, so the blowup is
+    # checked against the quotient and the count in one chunk, the weighted space too
+    # against the oracle
+    P = random_homogeneous(sp.grading, (2,) * sp.grading.r, spec, SplitMix64(21))
+    whole = toric_count_orbits(P, sp, spec)
+    assert whole == toric_count_quotient(P, sp, spec)
+    if sp is not BLOWUP:
+        assert whole == naive_toric_orbits(P, sp, spec)
+    rows = []
+    real = np.take
+    monkeypatch.setattr(
+        np, "take", lambda a, *rest, **kw: rows.append(len(a)) or real(a, *rest, **kw)
+    )
+    monkeypatch.setattr(count, "_BLOCK_TARGET", spec.q)
+    assert toric_count_orbits(P, sp, spec) == whole
+    torus = (spec.q - 1) ** sp.grading.r
+    assert rows and min(rows) <= torus // 3
 
 
 def test_orbit_count_reduces_weights_before_int64():
